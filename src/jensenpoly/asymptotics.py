@@ -16,8 +16,8 @@ Four groups of operations:
   closed forms for the partition parameters m = 1/24, weight = -1/2), plus
   the consistency functional C(n, j) = n^(3/2) (gamma(n+j) e^(d^2 j^2 - A j)
   / gamma(n) - 1);
-* a two-branch Bessel-I evaluator (power series / large-x expansion) used by
-  the modular asymptotics.
+* a two-branch Bessel-I evaluator (power series / large-x expansion), a
+  standalone tool: the growth normalizations above use closed forms instead.
 
 All functions take explicit binary precision and return BigReal-valued
 results rounded at that precision.
@@ -25,7 +25,7 @@ results rounded at that precision.
 
 from __future__ import annotations
 
-import logging
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Tuple, Union
@@ -34,7 +34,6 @@ import mpmath
 from mpmath import mpf, workprec
 
 from .zeta_core import (
-    MIN_PREC,
     BigReal,
     DomainError,
     GammaValue,
@@ -56,13 +55,10 @@ __all__ = [
     "C_of",
     "bessel_I",
     "BESSEL_X_SWITCH",
-    "modular_A_delta",
     "zeta_params",
     "partition_params",
     "modular_params",
 ]
-
-log = logging.getLogger("jensenpoly.asymptotics")
 
 #: Crossover between the Bessel-I power series and the large-x expansion;
 #: chosen so both branches certify 1e-20 agreement at 128-bit precision.
@@ -336,6 +332,7 @@ def saddle_data(n: Number, prec: int = 128) -> SaddleData:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=64)  # renormalize asks for A, then delta, at one (n, prec)
 def _zeta_A_delta_raw(n: int, prec: int) -> Tuple[mpf, mpf]:
     with workprec(prec + 24):
         n_hat = mpf(2 * n - 2)
@@ -529,6 +526,7 @@ def _as_fraction(value) -> Fraction:
     return Fraction(str(value))
 
 
+@functools.lru_cache(maxsize=64)
 def _modular_A_delta_raw(
     n: int, m: Fraction, weight: Fraction, order: int, prec: int
 ) -> Tuple[mpf, mpf]:
@@ -539,11 +537,6 @@ def _modular_A_delta_raw(
             delta = mpmath.sqrt(mpmath.pi / 2) * m_mp ** mpf("0.25") * mpf(n) ** mpf("-0.75")
             return +a_val, +delta
         # order == 2: closed forms for the partition parameters only.
-        if (m, weight) != (_PARTITION_M, _PARTITION_WEIGHT):
-            raise DomainError(
-                "second-order growth closed forms are available only for the "
-                "partition parameters m=1/24, weight=-1/2"
-            )
         x = mpf(24 * n - 1)
         a_val = 2 * mpmath.pi / mpmath.sqrt(x) - 24 / x
         delta_sq = 12 * mpmath.pi / x ** mpf("1.5") - 288 / x**2
@@ -552,35 +545,6 @@ def _modular_A_delta_raw(
                 f"second-order partition delta^2 <= 0 at n={n} (needs n >= 3)"
             )
         return +a_val, +mpmath.sqrt(delta_sq)
-
-
-def modular_A_delta(
-    n: int,
-    m,
-    weight,
-    order: int = 1,
-    prec: int = 128,
-) -> Tuple[BigReal, BigReal]:
-    """Growth pair (A(n), delta(n)) for coefficients of a weakly holomorphic form.
-
-    ``order=1`` uses the universal leading terms A = 2 pi sqrt(m/n),
-    delta = sqrt(pi/2) m^(1/4) n^(-3/4); ``order=2`` uses the sharper closed
-    forms valid for the partition generating function (m = 1/24,
-    weight = -1/2):  A = 2 pi / sqrt(24n-1) - 24/(24n-1),
-    delta = sqrt(12 pi (24n-1)^(-3/2) - 288 (24n-1)^(-2)).
-    """
-    _require_prec(prec)
-    if not isinstance(n, int) or n < 1:
-        raise DomainError(f"modular_A_delta requires an integer n >= 1, got {n!r}")
-    if order not in (1, 2):
-        raise DomainError(f"order must be 1 or 2, got {order!r}")
-    m_frac = _as_fraction(m)
-    w_frac = _as_fraction(weight)
-    if m_frac <= 0:
-        raise DomainError(f"pole order m must be positive, got {m!r}")
-    a_val, delta = _modular_A_delta_raw(n, m_frac, w_frac, order, prec)
-    with workprec(prec):
-        return BigReal(+a_val, prec), BigReal(+delta, prec)
 
 
 # ---------------------------------------------------------------------------
@@ -614,39 +578,32 @@ def zeta_params() -> AsymParams:
 
 def partition_params(order: int = 2) -> AsymParams:
     """Growth parameters for the partition sequence (order 2 by default)."""
-    if order not in (1, 2):
-        raise DomainError(f"order must be 1 or 2, got {order!r}")
-    n_min = 3 if order == 2 else 1
-
-    def a_of(n: int, prec: int) -> mpf:
-        return _modular_A_delta_raw(n, _PARTITION_M, _PARTITION_WEIGHT, order, prec)[0]
-
-    def d_of(n: int, prec: int) -> mpf:
-        return _modular_A_delta_raw(n, _PARTITION_M, _PARTITION_WEIGHT, order, prec)[1]
-
-    return AsymParams(family="partition", A_of_n=a_of, delta_of_n=d_of, n_min=n_min)
+    return modular_params(_PARTITION_M, _PARTITION_WEIGHT, order)
 
 
 def modular_params(m, weight, order: int = 1) -> AsymParams:
-    """Growth parameters for a general weakly holomorphic form's coefficients."""
+    """Growth parameters (A(n), delta(n)) for a weakly holomorphic form's coefficients.
+
+    ``order=1`` uses the universal leading terms A = 2 pi sqrt(m/n),
+    delta = sqrt(pi/2) m^(1/4) n^(-3/4) (n >= 1); ``order=2`` uses the sharper
+    closed forms valid for the partition generating function (m = 1/24,
+    weight = -1/2):  A = 2 pi / sqrt(24n-1) - 24/(24n-1),
+    delta = sqrt(12 pi (24n-1)^(-3/2) - 288 (24n-1)^(-2)) (n >= 3).
+    """
+    if order not in (1, 2):
+        raise DomainError(f"order must be 1 or 2, got {order!r}")
     m_frac = _as_fraction(m)
     w_frac = _as_fraction(weight)
+    if m_frac <= 0:
+        raise DomainError(f"pole order m must be positive, got {m!r}")
     if order == 2 and (m_frac, w_frac) != (_PARTITION_M, _PARTITION_WEIGHT):
         raise DomainError(
             "second-order growth closed forms are available only for the "
             "partition parameters m=1/24, weight=-1/2"
         )
-    n_min = 3 if order == 2 else 1
-
-    def a_of(n: int, prec: int) -> mpf:
-        return _modular_A_delta_raw(n, m_frac, w_frac, order, prec)[0]
-
-    def d_of(n: int, prec: int) -> mpf:
-        return _modular_A_delta_raw(n, m_frac, w_frac, order, prec)[1]
-
     return AsymParams(
         family=f"modular(m={m_frac}, k={w_frac}, order={order})",
-        A_of_n=a_of,
-        delta_of_n=d_of,
-        n_min=n_min,
+        A_of_n=lambda n, prec: _modular_A_delta_raw(n, m_frac, w_frac, order, prec)[0],
+        delta_of_n=lambda n, prec: _modular_A_delta_raw(n, m_frac, w_frac, order, prec)[1],
+        n_min=3 if order == 2 else 1,
     )

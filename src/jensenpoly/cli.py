@@ -16,7 +16,7 @@ Global flags (accepted before or after the subcommand; the later wins):
 variable ``JENSENPOLY_CACHE_DIR``.
 
 Exit codes: 0 success / all certified hyperbolic; 1 counterexample found;
-2 indeterminate or precision failure; 3 usage error.
+2 indeterminate or precision failure; 3 usage error or unreadable cache.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import io
 import json
 import os
 import sys
-import tempfile
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -38,15 +37,15 @@ from . import __version__
 from .asymptotics import gamma_hat
 from .jensen import (
     DEFAULT_LADDER,
-    HyperbolicityCertificate,
-    certify_renormalized,
+    certify,
     effective_check_d4,
     find_N,
-    is_hyperbolic,
     jensen_poly,
     renormalize,
 )
 from .sequences import (
+    CacheError,
+    CacheFormatError,
     CacheRecord,
     GammaCache,
     decimal_mantissa,
@@ -126,12 +125,6 @@ def _fixed_trunc(x: mpf, places: int) -> str:
     return ("-" if sign_bit else "") + body
 
 
-def _json_number(x: mpf, prec: int) -> str:
-    """Full-precision decimal string for JSON payloads."""
-    sign, digits, exp10 = decimal_mantissa(x, max(17, (prec * 30103) // 100000 + 2))
-    return f"{sign if sign == '-' else ''}{digits}e{exp10}"
-
-
 def _poly_str(coeffs_desc: Sequence[str], degree: int) -> str:
     """Human form 'c_d X^d + ... + c_0' from truncated coefficient strings."""
     parts: List[str] = []
@@ -201,13 +194,11 @@ def _gamma_worker(task: Tuple[int, int]) -> Tuple[int, int, str]:
 
 
 def _warm_gamma(provider, ns: Iterable[int], prec: int, jobs: int) -> None:
-    cache: Optional[GammaCache] = getattr(provider, "cache", None)
-    need = sorted(
-        n for n in set(ns) if cache is None or cache.get(n, prec) is None
-    )
+    cache = provider.cache
+    need = sorted(n for n in set(ns) if cache.get(n, prec) is None)
     if not need:
         return
-    if jobs <= 1 or cache is None or len(need) < 4:
+    if jobs <= 1 or len(need) < 4:
         for n in need:
             provider.value_at(n, prec)
         return
@@ -224,26 +215,8 @@ def _provider_for(cfg: RunConfig, name: str):
     if name == "partition":
         return partition_provider()
     if name == "zeta":
-        cache_dir = cfg.cache_dir
-        if cache_dir is None and cfg.parallelism > 1:
-            cache_dir = tempfile.mkdtemp(prefix="jensenpoly-cache-")
-        return zeta_gamma_provider(cache_dir)
+        return zeta_gamma_provider(cfg.cache_dir)
     raise ValueError(f"unknown sequence {name!r}")
-
-
-def _certify_shift(seq, d: int, n: int, ladder: Sequence[int]) -> HyperbolicityCertificate:
-    """Exact path when available; renormalized ladder otherwise; raw-poly fallback."""
-    if seq.exact_at is not None:
-        return is_hyperbolic(jensen_poly(seq, d, n))
-    if seq.params is not None and n >= seq.params.n_min:
-        return certify_renormalized(seq, d, n, ladder)
-    cert: Optional[HyperbolicityCertificate] = None
-    for prec in ladder:
-        cert = is_hyperbolic(jensen_poly(seq, d, n, prec=prec))
-        if cert.verdict != "indeterminate":
-            return cert
-    assert cert is not None
-    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +336,7 @@ def _cmd_sweep(args: argparse.Namespace, cfg: RunConfig, parser: _Parser) -> int
     try:
         for d in d_values:
             for n in n_values:
-                cert = _certify_shift(seq, d, n, ladder)
+                cert = certify(seq, d, n, ladder)
                 if cert.verdict == "not_hyperbolic":
                     n_bad += 1
                 elif cert.verdict == "indeterminate":
@@ -650,6 +623,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except PrecisionFailure as exc:
         print(f"precision failure: {exc}", file=sys.stderr)
         return EXIT_INDETERMINATE
+    except (CacheError, CacheFormatError) as exc:
+        print(f"cache error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def _entry() -> None:

@@ -10,6 +10,9 @@ The pipeline this module implements:
 * ``renormalize``        — hat J^{d,n}(X) = (delta^-d / alpha(n)) *
                            J^{d,n}((delta X - 1) / e^A), by exact binomial
                            expansion of the affine substitution.
+* ``certify``            — the one dispatch for a (sequence, d, n) instance:
+                           exact, renormalized (n >= n_min) or raw, with a
+                           precision ladder for the floating paths.
 * ``is_hyperbolic``      — certified real-rootedness via the Hankel matrix of
                            Newton power sums: exact integer minors
                            (fraction-free) on rational input, interval
@@ -29,7 +32,6 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 import mpmath
 from mpmath import mpf, workprec
 
-from .asymptotics import zeta_A_delta
 from .zeta_core import MIN_PREC, BigReal, DomainError, PrecisionFailure
 from .sequences import SequenceProvider
 
@@ -43,6 +45,7 @@ __all__ = [
     "Poly",
     "RationalPoly",
     "cauchy_bound",
+    "certify",
     "certify_renormalized",
     "convergence_report",
     "effective_check_d4",
@@ -335,28 +338,23 @@ def _int_coeffs(rp: RationalPoly) -> List[int]:
     return ints
 
 
-def _scaled_power_sums(a: List[int], count: int) -> List[int]:
-    """t_k = s_k * a_d^k for k = 0..count-1, exact integers via Newton.
+def _scaled_power_sums(a: list, count: int) -> list:
+    """t_k = s_k * a_d^k for k = 0..count-1 via Newton's identities.
 
-    a: integer coefficients, a[i] multiplies X^i, a[-1] != 0.
+    Generic over the coefficient ring: exact integers or mpmath intervals.
+    a[i] multiplies X^i, a[-1] != 0.
     """
     d = len(a) - 1
     ad = a[d]
-    t = [d]  # t_0 = s_0 = d
-    ad_pows = [1]
+    ad_pows = [ad ** 0]  # the ring's own 1
     for _ in range(count):
         ad_pows.append(ad_pows[-1] * ad)
+    t = [d * ad_pows[0]]  # t_0 = s_0 = d
     for k in range(1, count):
-        if k <= d:
-            acc = k * a[d - k] * ad_pows[k - 1]
-            for i in range(1, k):
-                acc += a[d - i] * ad_pows[i - 1] * t[k - i]
-            t.append(-acc)
-        else:
-            acc = 0
-            for i in range(1, d + 1):
-                acc += a[d - i] * ad_pows[i - 1] * t[k - i]
-            t.append(-acc)
+        acc = k * a[d - k] * ad_pows[k - 1] if k <= d else 0
+        for i in range(1, min(k, d + 1)):
+            acc += a[d - i] * ad_pows[i - 1] * t[k - i]
+        t.append(-acc)
     return t
 
 
@@ -426,7 +424,8 @@ def squarefree_part(p: Union[RationalPoly, Poly]) -> RationalPoly:
     if len(g) == 1:
         return make_rational_poly(c)
     q, r = _poly_divmod_frac(c, g)
-    assert len(r) == 1 and r[0] == 0, "gcd division must be exact"
+    if not (len(r) == 1 and r[0] == 0):
+        raise ArithmeticError("gcd division must be exact")
     return make_rational_poly(q)
 
 
@@ -521,26 +520,11 @@ def _interval_certificate(p: Poly) -> HyperbolicityCertificate:
     try:
         iv.prec = p.prec_bits + 32
         a = [iv.mpf(c) for c in p.coeffs]  # exact point intervals
-        ad = a[d]
-        if 0 in ad:
+        if 0 in a[d]:
             return HyperbolicityCertificate(
                 "indeterminate", "hermite_hankel_interval", _margin_big(0), d
             )
-        count = 2 * d - 1
-        ad_pows = [iv.mpf(1)]
-        for _ in range(count):
-            ad_pows.append(ad_pows[-1] * ad)
-        t = [iv.mpf(d)]
-        for k in range(1, count):
-            if k <= d:
-                acc = k * a[d - k] * ad_pows[k - 1]
-                for i in range(1, k):
-                    acc += a[d - i] * ad_pows[i - 1] * t[k - i]
-            else:
-                acc = iv.mpf(0)
-                for i in range(1, d + 1):
-                    acc += a[d - i] * ad_pows[i - 1] * t[k - i]
-            t.append(-acc)
+        t = _scaled_power_sums(a, 2 * d - 1)
         # Gaussian elimination; minors are products of accepted pivots.
         M = [[t[i + j] for j in range(d)] for i in range(d)]
         minor = iv.mpf(1)
@@ -593,6 +577,19 @@ def is_hyperbolic(p: Union[Poly, RationalPoly]) -> HyperbolicityCertificate:
     raise TypeError(f"is_hyperbolic expects Poly or RationalPoly, got {type(p)!r}")
 
 
+def _climb(
+    build: Callable[[int], Poly], ladder: Sequence[int]
+) -> HyperbolicityCertificate:
+    """Certify ``build(prec)`` at each ladder precision until a verdict is reached."""
+    if not ladder:
+        raise ValueError("the precision ladder is empty")
+    for prec in ladder:
+        cert = is_hyperbolic(build(prec))
+        if cert.verdict != "indeterminate":
+            break
+    return cert
+
+
 def certify_renormalized(
     seq: SequenceProvider,
     d: int,
@@ -600,13 +597,27 @@ def certify_renormalized(
     ladder: Sequence[int] = DEFAULT_LADDER,
 ) -> HyperbolicityCertificate:
     """Certify hat J^{d,n}; on indeterminate, rebuild at the next ladder precision."""
-    cert: Optional[HyperbolicityCertificate] = None
-    for prec in ladder:
-        cert = is_hyperbolic(renormalize(seq, d, n, prec))
-        if cert.verdict != "indeterminate":
-            return cert
-    assert cert is not None
-    return cert
+    return _climb(lambda prec: renormalize(seq, d, n, prec), ladder)
+
+
+def certify(
+    seq: SequenceProvider,
+    d: int,
+    n: int,
+    ladder: Sequence[int] = DEFAULT_LADDER,
+) -> HyperbolicityCertificate:
+    """Certify J^{d,n} of ``seq`` by the path the sequence allows.
+
+    Exact sequences get the exact-rational verdict; sequences with growth
+    parameters are renormalized from ``n_min`` on; anything else has its raw
+    Jensen polynomial rounded along the precision ladder.  The verdict may be
+    ``indeterminate`` only after the full ladder.
+    """
+    if seq.exact_at is not None:
+        return is_hyperbolic(jensen_poly(seq, d, n))
+    if seq.params is not None and n >= seq.params.n_min:
+        return certify_renormalized(seq, d, n, ladder)
+    return _climb(lambda prec: jensen_poly(seq, d, n, prec=prec), ladder)
 
 
 # ---------------------------------------------------------------------------
@@ -643,9 +654,8 @@ def find_N(
 ) -> FindNResult:
     """Scan n = 0..n_max; return the least N with [N, n_max] all hyperbolic.
 
-    Uses the exact-rational path whenever the sequence is exact; an
-    indeterminate verdict after the full ladder raises
-    :class:`~jensenpoly.zeta_core.PrecisionFailure`.
+    Each shift goes through :func:`certify`; an indeterminate verdict after
+    the full ladder raises :class:`~jensenpoly.zeta_core.PrecisionFailure`.
     """
     if d < 1:
         raise DomainError(f"find_N requires d >= 1, got {d}")
@@ -653,12 +663,7 @@ def find_N(
         raise DomainError(f"find_N requires n_max >= 0, got {n_max}")
     last_failing: Optional[int] = None
     for n in range(n_max + 1):
-        if seq.exact_at is not None:
-            cert = is_hyperbolic(jensen_poly(seq, d, n))
-        else:
-            cert = certify_renormalized(seq, d, n, ladder) if (
-                seq.params is not None and n >= seq.params.n_min
-            ) else is_hyperbolic(jensen_poly(seq, d, n, prec=ladder[-1]))
+        cert = certify(seq, d, n, ladder)
         if cert.verdict == "indeterminate":
             raise PrecisionFailure(
                 f"find_N: indeterminate at d={d}, n={n} after ladder {tuple(ladder)}"

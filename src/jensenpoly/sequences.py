@@ -6,7 +6,8 @@ precision, an optional exact-integer fast path, and the growth parameters
 (A(n), delta(n)) used by the renormalization step:
 
 * ``zeta_gamma_provider``: Taylor coefficients of the completed zeta
-  function, backed by an on-disk decimal cache (they are expensive).
+  function, backed by a decimal value cache (they are expensive), on disk
+  or in memory.
 * ``partition_provider``: exact p(n) via Euler's pentagonal recurrence.
 * ``load_sequence``: user-supplied (n, value) files in CSV or JSON.
 
@@ -22,10 +23,9 @@ from __future__ import annotations
 
 import json
 import os
-import random
 import re
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -228,16 +228,18 @@ class GammaCache:
     Concurrency contract: many readers may load the file; all writes go
     through one owning process.  ``put`` appends a single line and flushes;
     ``compact``/``clear`` rewrite atomically via a temp file + rename.
+    With ``cache_dir=None`` the records live in memory only.
     """
 
     FILENAME = "zeta_gamma.cache"
 
-    def __init__(self, cache_dir: Union[str, os.PathLike]) -> None:
-        self.dir = Path(cache_dir)
-        self.path = self.dir / self.FILENAME
+    def __init__(self, cache_dir: Optional[Union[str, os.PathLike]]) -> None:
+        self.dir = Path(cache_dir) if cache_dir is not None else None
+        self.path = self.dir / self.FILENAME if self.dir is not None else None
         self._records: Dict[int, List[CacheRecord]] = {}
         self._loaded = False
-        self._lock = threading.Lock()
+        self._torn = False
+        self._lock = threading.RLock()
         self.hits = 0
         self.misses = 0
 
@@ -247,12 +249,18 @@ class GammaCache:
         if self._loaded:
             return
         self._records = {}
-        if self.path.exists():
+        if self.path is not None and self.path.exists():
             try:
                 text = self.path.read_text(encoding="ascii")
             except OSError as exc:
                 raise CacheError(f"cannot read cache file {self.path}: {exc}") from exc
-            for i, line in enumerate(text.splitlines(), start=1):
+            lines = text.splitlines()
+            # A writer that died mid-append leaves an unterminated last line:
+            # drop it here; the next put rewrites the file without it.
+            self._torn = bool(text) and not text.endswith("\n")
+            if self._torn:
+                lines.pop()
+            for i, line in enumerate(lines, start=1):
                 if not line.strip():
                     continue
                 rec = parse_record(line, path=str(self.path), lineno=i)
@@ -296,6 +304,11 @@ class GammaCache:
             if record in known:
                 return
             known.append(record)
+            if self.path is None:
+                return
+            if self._torn:
+                self.compact()
+                return
             try:
                 self.dir.mkdir(parents=True, exist_ok=True)
                 with open(self.path, "a", encoding="ascii") as fh:
@@ -313,6 +326,8 @@ class GammaCache:
         """Rewrite the file deduplicated and sorted (atomic rename)."""
         with self._lock:
             self._ensure_loaded()
+            if self.path is None:
+                return
             tmp = self.path.with_suffix(".tmp")
             try:
                 self.dir.mkdir(parents=True, exist_ok=True)
@@ -323,13 +338,15 @@ class GammaCache:
                 os.replace(tmp, self.path)
             except OSError as exc:
                 raise CacheError(f"cannot rewrite cache file {self.path}: {exc}") from exc
+            self._torn = False
 
     def clear(self) -> None:
         with self._lock:
             self._records = {}
             self._loaded = True
+            self._torn = False
             try:
-                if self.path.exists():
+                if self.path is not None and self.path.exists():
                     self.path.unlink()
             except OSError as exc:
                 raise CacheError(f"cannot remove cache file {self.path}: {exc}") from exc
@@ -348,15 +365,17 @@ class SequenceProvider:
     present) returns the exact integer and enables the exact-rational
     certification path.  ``params`` carries the (A, delta) formulas used by
     renormalization, or None when unknown (user files without parameters).
+    ``cache`` is the value cache behind ``value_at``, when there is one.
     """
 
-    kind: str  # zeta_gamma | partition | modular_file | user_file
+    kind: str  # zeta_gamma | partition | user_file
     value_at: Callable[[int, int], BigReal]
     exact_at: Optional[Callable[[int], int]]
     params: Optional[AsymParams]
     label: str
+    cache: Optional[GammaCache] = None
 
-    _KINDS = ("zeta_gamma", "partition", "modular_file", "user_file")
+    _KINDS = ("zeta_gamma", "partition", "user_file")
 
     def __post_init__(self) -> None:
         if self.kind not in self._KINDS:
@@ -421,31 +440,27 @@ def zeta_gamma_provider(
 
     ``value_at`` consults the cache first, computes via
     :func:`jensenpoly.zeta_core.gamma_exact` on a miss, and stores the result.
-    With ``cache_dir=None`` values are computed fresh each call (the in-process
-    quadrature memo still applies).
+    With ``cache_dir=None`` the cache lives in memory for the provider's
+    lifetime.
     """
-    cache = GammaCache(cache_dir) if cache_dir is not None else None
+    cache = GammaCache(cache_dir)
 
     def value_at(n: int, prec: int) -> BigReal:
-        if cache is not None:
-            hit = cache.get(n, prec)
-            if hit is not None:
-                return hit
+        hit = cache.get(n, prec)
+        if hit is not None:
+            return hit
         value = gamma_exact(n, prec).value
-        if cache is not None:
-            cache.put_value(n, value, source="exact")
+        cache.put_value(n, value, source="exact")
         return value
 
-    provider = SequenceProvider(
+    return SequenceProvider(
         kind="zeta_gamma",
         value_at=value_at,
         exact_at=None,
         params=zeta_params(),
         label="zeta-gamma",
+        cache=cache,
     )
-    # expose the cache for stats/maintenance without widening the dataclass
-    object.__setattr__(provider, "cache", cache)
-    return provider
 
 
 # -- user-supplied sequences --------------------------------------------------
@@ -493,7 +508,6 @@ def load_sequence(
     path: Union[str, os.PathLike],
     fmt: str = "csv",
     params: Optional[AsymParams] = None,
-    kind: str = "user_file",
 ) -> SequenceProvider:
     """Load a positive sequence from a file of (n, value) records.
 
@@ -548,7 +562,7 @@ def load_sequence(
             return BigReal(mpf(frac.numerator) / frac.denominator, prec)
 
     return SequenceProvider(
-        kind=kind,
+        kind="user_file",
         value_at=value_at,
         exact_at=exact_at,
         params=params,

@@ -30,7 +30,6 @@ precision used internally.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Dict, Tuple, Union
@@ -52,7 +51,6 @@ __all__ = [
     "clear_f_memo",
 ]
 
-log = logging.getLogger("jensenpoly.zeta_core")
 
 #: Minimum accepted binary working precision for every public operation.
 MIN_PREC = 64

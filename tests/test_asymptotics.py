@@ -194,6 +194,30 @@ class TestModularGrowth:
         with pytest.raises(DomainError):
             partition_params(order=3)
 
+    @pytest.mark.parametrize(
+        "m, weight, order",
+        [
+            ("1/24", "-1/2", 3),   # no third-order closed forms
+            ("1/24", "-1/2", 0),
+            (-1, 0, 1),            # m <= 0: A(n) would be complex
+            (0, "-1/2", 1),
+            ("1/12", "-1/2", 2),   # order 2 exists only for the partition case
+        ],
+    )
+    def test_modular_params_rejected_at_construction(self, m, weight, order):
+        with pytest.raises(DomainError):
+            modular_params(m, weight, order=order)
+
+    def test_growth_pair_solved_once_per_n_prec(self):
+        from jensenpoly.asymptotics import _zeta_A_delta_raw
+
+        params = zeta_params()
+        _zeta_A_delta_raw.cache_clear()
+        params.A_of_n(123, 200)
+        params.delta_of_n(123, 200)
+        info = _zeta_A_delta_raw.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
     def test_partition_is_modular_special_case(self):
         # p(n) comes from weight -1/2 with m = 1/24.
         generic = modular_params("1/24", "-1/2", order=2)

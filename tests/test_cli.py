@@ -160,6 +160,34 @@ class TestCacheCommand:
         assert clear.returncode == 0 and "cleared 1" in clear.stdout
         assert run("cache", env_extra=env).stdout.count("exact") == 0
 
+    def test_corrupt_cache_is_exit_three(self, tmp_path):
+        (tmp_path / "zeta_gamma.cache").write_text(
+            "n=1 prec=64 src=exact val=+1e0\nBROKEN\nn=2 prec=64 src=exact val=+1e0\n"
+        )
+        res = run("gamma", "7", "--exact", "--cache-dir", str(tmp_path))
+        assert res.returncode == 3
+        assert "Traceback" not in res.stderr
+        assert ":2: unparseable" in res.stderr
+
+    def test_torn_final_line_recovered(self, tmp_path):
+        fill = run("gamma", "7", "--exact", "--cache-dir", str(tmp_path))
+        with open(tmp_path / "zeta_gamma.cache", "a") as fh:
+            fh.write("n=999 prec=352 src=exact val=+1234")
+        again = run("gamma", "7", "8", "--exact", "--cache-dir", str(tmp_path))
+        assert fill.returncode == again.returncode == 0
+        assert again.stdout.startswith(fill.stdout)
+        assert "val=+1234" not in (tmp_path / "zeta_gamma.cache").read_text()
+
+    def test_no_cache_dir_parallel_leaves_no_files(self, tmp_path):
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        env = {"TMPDIR": str(scratch)}
+        one = run("gamma", "7", "8", "9", "10", "--exact", "--jobs", "1", env_extra=env)
+        two = run("gamma", "7", "8", "9", "10", "--exact", "--jobs", "2", env_extra=env)
+        assert one.returncode == two.returncode == 0
+        assert one.stdout == two.stdout
+        assert list(scratch.iterdir()) == []
+
     def test_cached_rerun_identical(self, tmp_path):
         env = {"JENSENPOLY_CACHE_DIR": str(tmp_path)}
         first = run("gamma", "9", "--compare", env_extra=env)

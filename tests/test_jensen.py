@@ -12,6 +12,7 @@ from jensenpoly.jensen import (
     Poly,
     RationalPoly,
     cauchy_bound,
+    certify,
     certify_renormalized,
     convergence_report,
     effective_check_d4,
@@ -27,7 +28,7 @@ from jensenpoly.jensen import (
     squarefree_part,
     sturm_count,
 )
-from jensenpoly.sequences import partition
+from jensenpoly.sequences import load_sequence, partition
 from jensenpoly.zeta_core import DomainError
 
 
@@ -250,6 +251,17 @@ class TestFindN:
         with pytest.raises(DomainError):
             find_N(partition_seq, 0, 10)
 
+    def test_raw_ladder_path_matches_exact(self, tmp_path):
+        # p(n)/3 written as fractions: not integer-valued and no growth
+        # parameters, so every shift takes the raw-polynomial ladder.
+        path = tmp_path / "p_over_3.csv"
+        path.write_text("".join(f"{n},{partition(n)}/3\n" for n in range(203)))
+        seq = load_sequence(path)
+        assert seq.exact_at is None and seq.params is None
+        cert = certify(seq, 2, 30)
+        assert (cert.verdict, cert.method) == ("hyperbolic", "hermite_hankel_interval")
+        assert find_N(seq, 2, 200) == 25
+
 
 class TestReports:
     def test_convergence_report_improves(self, zeta_seq):
@@ -290,3 +302,12 @@ class TestLadder:
     def test_certify_smallest_domain_corner(self, zeta_seq):
         cert = certify_renormalized(zeta_seq, 8, 7)
         assert cert.verdict == "hyperbolic"
+
+    def test_certify_dispatch(self, partition_seq, zeta_seq):
+        exact = certify(partition_seq, 2, 24)
+        assert (exact.verdict, exact.method) == ("not_hyperbolic", "hermite_hankel_exact")
+        assert certify(zeta_seq, 8, 7) == certify_renormalized(zeta_seq, 8, 7)
+
+    def test_empty_ladder_rejected(self, zeta_seq):
+        with pytest.raises(ValueError):
+            certify(zeta_seq, 2, 7, ladder=())

@@ -156,6 +156,33 @@ class TestGammaCache:
         with pytest.raises(CacheFormatError, match=":2: unparseable"):
             GammaCache(tmp_path).entries()
 
+    def test_torn_final_line_dropped_then_rewritten(self, tmp_path):
+        path = tmp_path / GammaCache.FILENAME
+        good = "n=1 prec=64 src=exact val=+1e0"
+        path.write_text(good + "\nn=999 prec=352 src=exact val=+1234")
+        cache = GammaCache(tmp_path)
+        assert [r.n for r in cache.entries()] == [1]
+        with workprec(64):
+            cache.put_value(2, BigReal(mpf(3), 64), "exact")
+        text = path.read_text()
+        assert text.endswith("\n") and "val=+1234" not in text
+        assert [r.n for r in GammaCache(tmp_path).entries()] == [1, 2]
+        with workprec(64):  # later puts append again
+            cache.put_value(3, BigReal(mpf(5), 64), "exact")
+        assert path.read_text().startswith(text)
+        assert [r.n for r in GammaCache(tmp_path).entries()] == [1, 2, 3]
+
+    def test_memory_only_cache(self):
+        cache = GammaCache(None)
+        assert cache.path is None
+        with workprec(128):
+            cache.put_value(4, BigReal(mpf("0.25"), 128), "exact")
+        assert cache.get(4, 96).value == mpf("0.25")
+        cache.compact()
+        assert len(cache.entries()) == 1
+        cache.clear()
+        assert cache.entries() == []
+
     def test_provider_computes_once(self, tmp_path):
         seq = zeta_gamma_provider(tmp_path)
         a = seq.value_at(11, 128)
@@ -168,6 +195,12 @@ class TestGammaCache:
     def test_provider_without_cache(self):
         seq = zeta_gamma_provider(None)
         assert seq.value_at(9, 96).value > 0
+
+    def test_provider_without_cache_dir_keeps_values_in_memory(self):
+        seq = zeta_gamma_provider(None)
+        assert seq.cache.path is None
+        assert seq.value_at(9, 96).value == seq.value_at(9, 96).value
+        assert seq.cache.misses == 1 and seq.cache.hits == 1
 
 
 class TestLoadSequence:

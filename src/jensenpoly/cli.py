@@ -41,6 +41,7 @@ from .jensen import (
     effective_check_d4,
     find_N,
     jensen_poly,
+    read_prec,
     renormalize,
 )
 from .sequences import (
@@ -186,29 +187,33 @@ def _parse_range(text: str, what: str, parser: _Parser) -> List[int]:
 # ---------------------------------------------------------------------------
 
 
-def _gamma_worker(task: Tuple[int, int]) -> Tuple[int, int, str]:
+def _gamma_worker(task: Tuple[int, int]) -> CacheRecord:
     n, prec = task
-    value = gamma_exact(n, prec).value
-    rec = CacheRecord.from_value(n, value.value, prec, "exact")
-    return n, prec, rec.decimal_value
+    return CacheRecord.from_value(n, gamma_exact(n, prec).value.value, prec, "exact")
 
 
-def _warm_gamma(provider, ns: Iterable[int], prec: int, jobs: int) -> None:
-    cache = provider.cache
-    need = sorted(n for n in set(ns) if cache.get(n, prec) is None)
-    if not need:
-        return
-    if jobs <= 1 or len(need) < 4:
-        for n in need:
-            provider.value_at(n, prec)
-        return
-    import multiprocessing as mp_proc
+def _warm_gamma(cache: GammaCache, ns: Iterable[int], prec: int, jobs: int) -> None:
+    """Store gamma(n) at ``prec`` bits, in n order, for each n in ``ns`` not cached."""
+    tasks = [(n, prec) for n in sorted(set(ns)) if cache.get(n, prec) is None]
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        import multiprocessing
 
-    with mp_proc.Pool(processes=jobs) as pool:
-        results = pool.map(_gamma_worker, [(n, prec) for n in need])
-    for n, p, decimal_value in sorted(results):  # merge in n-order
-        cache.put(CacheRecord(n=n, prec_bits=p, source="exact",
-                              decimal_value=decimal_value))
+        with multiprocessing.Pool(processes=workers) as pool:
+            records = pool.map(_gamma_worker, tasks)
+    else:
+        records = map(_gamma_worker, tasks)
+    for rec in records:
+        cache.put(rec)
+
+
+def _warm_jensen(seq, ds: List[int], ns: List[int], prec: int, jobs: int) -> None:
+    """Store the values J^{d,n} reads on rung ``prec``, for d in ``ds``, n in ``ns``."""
+    if seq.exact_at is None and ds and ns:
+        d_max = max(ds)  # read_prec grows with d
+        warm_prec = max(read_prec(seq, d_max, n, prec) for n in ns)
+        _warm_gamma(seq.cache, [n + j for n in ns for j in range(d_max + 1)],
+                    warm_prec, jobs)
 
 
 def _provider_for(cfg: RunConfig, name: str):
@@ -236,25 +241,21 @@ def _cmd_gamma(args: argparse.Namespace, cfg: RunConfig, parser: _Parser) -> int
             parser.error(f"gamma {mode} requires n >= {min_n}, got {n}")
     provider = _provider_for(cfg, "zeta")
     if mode != "asymptotic":
-        _warm_gamma(provider, args.n, cfg.precision_bits, cfg.parallelism)
+        _warm_gamma(provider.cache, args.n, cfg.precision_bits, cfg.parallelism)
 
     rows: List[Dict[str, str]] = []
-    try:
-        for n in sorted(set(args.n)):
-            row: Dict[str, str] = {"n": str(n)}
-            if mode in ("exact", "compare"):
-                g = provider.value_at(n, cfg.precision_bits).value
-                row["gamma"] = _sci_trunc(g, 11)
-            if mode in ("asymptotic", "compare"):
-                gh = gamma_hat(n, cfg.precision_bits).value.value
-                row["gamma_hat"] = _sci_trunc(gh, 11)
-            if mode == "compare":
-                with workprec(cfg.precision_bits):
-                    row["ratio"] = _fixed_trunc(g / gh, 9)
-            rows.append(row)
-    except PrecisionFailure as exc:
-        print(f"precision failure: {exc}", file=sys.stderr)
-        return EXIT_INDETERMINATE
+    for n in sorted(set(args.n)):
+        row: Dict[str, str] = {"n": str(n)}
+        if mode in ("exact", "compare"):
+            g = provider.value_at(n, cfg.precision_bits).value
+            row["gamma"] = _sci_trunc(g, 11)
+        if mode in ("asymptotic", "compare"):
+            gh = gamma_hat(n, cfg.precision_bits).value.value
+            row["gamma_hat"] = _sci_trunc(gh, 11)
+        if mode == "compare":
+            with workprec(cfg.precision_bits):
+                row["ratio"] = _fixed_trunc(g / gh, 9)
+        rows.append(row)
     columns = {
         "exact": ["n", "gamma"],
         "asymptotic": ["n", "gamma_hat"],
@@ -273,28 +274,24 @@ def _cmd_jensen(args: argparse.Namespace, cfg: RunConfig, parser: _Parser) -> in
         parser.error(f"degree must be >= 1, got {d}")
     if n < 0:
         parser.error(f"shift must be >= 0, got {n}")
-    try:
-        if args.renormalized:
-            if seq.params is None or n < seq.params.n_min:
-                parser.error(
-                    f"renormalization for {args.seq} needs n >= "
-                    f"{seq.params.n_min if seq.params else '?'}, got {n}"
-                )
-            poly = renormalize(seq, d, n, cfg.precision_bits)
-            places = 3 if d >= 6 else 4
-            coeff_strs = [_fixed_trunc(c, places) for c in reversed(poly.coeffs)]
-            kindrow = "renormalized"
+    if args.renormalized:
+        if seq.params is None or n < seq.params.n_min:
+            parser.error(
+                f"renormalization for {args.seq} needs n >= "
+                f"{seq.params.n_min if seq.params else '?'}, got {n}"
+            )
+        poly = renormalize(seq, d, n, cfg.precision_bits)
+        places = 3 if d >= 6 else 4
+        coeff_strs = [_fixed_trunc(c, places) for c in reversed(poly.coeffs)]
+        kindrow = "renormalized"
+    else:
+        poly = jensen_poly(seq, d, n, prec=cfg.precision_bits)
+        if hasattr(poly.coeffs[0], "denominator"):  # exact path
+            coeff_strs = [str(c.numerator) if c.denominator == 1 else str(c)
+                          for c in reversed(poly.coeffs)]
         else:
-            poly = jensen_poly(seq, d, n, prec=cfg.precision_bits)
-            if hasattr(poly.coeffs[0], "denominator"):  # exact path
-                coeff_strs = [str(c.numerator) if c.denominator == 1 else str(c)
-                              for c in reversed(poly.coeffs)]
-            else:
-                coeff_strs = [_sci_trunc(c, 11) for c in reversed(poly.coeffs)]
-            kindrow = "raw"
-    except (DomainError, PrecisionFailure) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INDETERMINATE if isinstance(exc, PrecisionFailure) else EXIT_USAGE
+            coeff_strs = [_sci_trunc(c, 11) for c in reversed(poly.coeffs)]
+        kindrow = "raw"
 
     rows = [
         {"seq": args.seq, "kind": kindrow, "d": str(d), "n": str(n),
@@ -324,31 +321,23 @@ def _cmd_sweep(args: argparse.Namespace, cfg: RunConfig, parser: _Parser) -> int
             parser.error(f"shifts must be >= 0, got {n}")
 
     ladder = [cfg.precision_bits] + [p for p in DEFAULT_LADDER if p > cfg.precision_bits]
-    if seq.exact_at is None and d_values and n_values:
-        d_max = max(d_values)
-        warm_prec = ladder[0] + 8 * d_max + 96  # covers renormalize's padding
-        _warm_gamma(seq, [n + j for n in n_values for j in range(d_max + 1)],
-                    warm_prec, cfg.parallelism)
+    _warm_jensen(seq, d_values, n_values, ladder[0], cfg.parallelism)
 
     rows: List[Dict[str, str]] = []
     n_bad = 0
     n_indet = 0
-    try:
-        for d in d_values:
-            for n in n_values:
-                cert = certify(seq, d, n, ladder)
-                if cert.verdict == "not_hyperbolic":
-                    n_bad += 1
-                elif cert.verdict == "indeterminate":
-                    n_indet += 1
-                rows.append({
-                    "seq": args.seq, "d": str(d), "n": str(n),
-                    "verdict": cert.verdict, "method": cert.method,
-                    "margin": mpmath.nstr(cert.margin.value, 6),
-                })
-    except (DomainError, PrecisionFailure) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INDETERMINATE
+    for d in d_values:
+        for n in n_values:
+            cert = certify(seq, d, n, ladder)
+            if cert.verdict == "not_hyperbolic":
+                n_bad += 1
+            elif cert.verdict == "indeterminate":
+                n_indet += 1
+            rows.append({
+                "seq": args.seq, "d": str(d), "n": str(n),
+                "verdict": cert.verdict, "method": cert.method,
+                "margin": mpmath.nstr(cert.margin.value, 6),
+            })
 
     meta = {"command": "sweep", "seq": args.seq, "prec_bits": cfg.precision_bits,
             "ladder": list(ladder), "version": __version__}
@@ -374,12 +363,7 @@ def _cmd_find_n(args: argparse.Namespace, cfg: RunConfig, parser: _Parser) -> in
         parser.error(f"degree must be >= 1, got {args.d}")
     if args.max < 0:
         parser.error(f"--max must be >= 0, got {args.max}")
-    seq = partition_provider()
-    try:
-        result = find_N(seq, args.d, args.max)
-    except PrecisionFailure as exc:
-        print(f"precision failure: {exc}", file=sys.stderr)
-        return EXIT_INDETERMINATE
+    result = find_N(partition_provider(), args.d, args.max)
     rows = [{
         "d": str(args.d),
         "N": str(int(result)),
@@ -409,9 +393,7 @@ def _cmd_effective(args: argparse.Namespace, cfg: RunConfig, parser: _Parser) ->
     if n_values and not valid:
         parser.error("no shifts >= 100 in range (template is stated for n >= 100)")
     seq = _provider_for(cfg, "zeta")
-    if valid:
-        _warm_gamma(seq, [n + j for n in valid for j in range(5)],
-                    cfg.precision_bits + 88, cfg.parallelism)
+    _warm_jensen(seq, [4], valid, cfg.precision_bits, cfg.parallelism)
     report = effective_check_d4(valid, seq=seq, prec=cfg.precision_bits)
 
     rows: List[Dict[str, str]] = []
@@ -444,7 +426,7 @@ def _cmd_tables(args: argparse.Namespace, cfg: RunConfig, parser: _Parser) -> in
 
     if "gamma" in groups:
         ns = [10, 100, 1000]
-        _warm_gamma(zeta, ns, cfg.precision_bits, cfg.parallelism)
+        _warm_gamma(zeta.cache, ns, cfg.precision_bits, cfg.parallelism)
         for n in ns:
             g = zeta.value_at(n, cfg.precision_bits).value
             gh = gamma_hat(n, cfg.precision_bits).value.value
@@ -455,27 +437,25 @@ def _cmd_tables(args: argparse.Namespace, cfg: RunConfig, parser: _Parser) -> in
                 "value": f"{_sci_trunc(gh, 11)} | {_sci_trunc(g, 11)} | {_fixed_trunc(ratio, 9)}",
             })
 
-    def _jensen_rows(group: str, seq, d: int, places: int) -> None:
-        shifts = [100, 200, 300, 400]
-        if seq.exact_at is None:
-            _warm_gamma(seq, [n + j for n in shifts for j in range(d + 1)],
-                        cfg.precision_bits + 88, cfg.parallelism)
-        for n in shifts:
-            poly = renormalize(seq, d, n, cfg.precision_bits)
-            cs = [_fixed_trunc(c, places) for c in reversed(poly.coeffs)]
-            rows.append({
-                "group": group, "n": str(n), "d": str(d), "entry": "",
-                "value": _poly_str(cs, poly.degree),
-            })
+    shifts = [100, 200, 300, 400]
+    jensen_groups = [(group, seq, ds, places) for group, seq, ds, places in (
+        ("partition-jensen", part, [2, 3], 4),
+        ("zeta-jensen", zeta, [2, 3], 4),
+        ("zeta-jensen-6", zeta, [6], 3),
+    ) if group in groups]
+    # One warm-up for every zeta degree asked for computes each value once.
+    _warm_jensen(zeta, [d for _, seq, ds, _ in jensen_groups if seq is zeta for d in ds],
+                 shifts, cfg.precision_bits, cfg.parallelism)
+    for group, seq, ds, places in jensen_groups:
+        for d in ds:
+            for n in shifts:
+                poly = renormalize(seq, d, n, cfg.precision_bits)
+                cs = [_fixed_trunc(c, places) for c in reversed(poly.coeffs)]
+                rows.append({
+                    "group": group, "n": str(n), "d": str(d), "entry": "",
+                    "value": _poly_str(cs, poly.degree),
+                })
 
-    if "partition-jensen" in groups:
-        _jensen_rows("partition-jensen", part, 2, 4)
-        _jensen_rows("partition-jensen", part, 3, 4)
-    if "zeta-jensen" in groups:
-        _jensen_rows("zeta-jensen", zeta, 2, 4)
-        _jensen_rows("zeta-jensen", zeta, 3, 4)
-    if "zeta-jensen-6" in groups:
-        _jensen_rows("zeta-jensen-6", zeta, 6, 3)
     if "nd" in groups:
         for d in (2, 3, 4, 5):
             result = find_N(part, d, 2000)
@@ -523,13 +503,14 @@ def _cmd_cache(args: argparse.Namespace, cfg: RunConfig, parser: _Parser) -> int
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--prec", type=int, default=None, metavar="BITS",
+    # SUPPRESS: a copy not given keeps the value given elsewhere or the root's default.
+    parser.add_argument("--prec", type=int, default=argparse.SUPPRESS, metavar="BITS",
                         help="working precision in bits (default 192)")
     parser.add_argument("--format", choices=("table", "csv", "json"),
-                        default=None, help="output format (default table)")
-    parser.add_argument("--cache-dir", default=None, metavar="PATH",
+                        default=argparse.SUPPRESS, help="output format (default table)")
+    parser.add_argument("--cache-dir", default=argparse.SUPPRESS, metavar="PATH",
                         help=f"persistent cache directory (or ${ENV_CACHE_DIR})")
-    parser.add_argument("--jobs", type=int, default=None, metavar="K",
+    parser.add_argument("--jobs", type=int, default=argparse.SUPPRESS, metavar="K",
                         help="parallel workers for value computation (default 1)")
 
 
@@ -539,6 +520,8 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     _add_common(parser)
+    parser.set_defaults(prec=192, format="table", jobs=1,
+                        cache_dir=os.environ.get(ENV_CACHE_DIR) or None)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
     p = sub.add_parser("gamma", help="Taylor coefficient values and ratios")
@@ -592,15 +575,9 @@ def _build_parser() -> _Parser:
 
 
 def _resolve_config(args: argparse.Namespace, parser: _Parser) -> RunConfig:
-    prec = args.prec if args.prec is not None else 192
-    fmt = args.format if args.format is not None else "table"
-    cache_dir = args.cache_dir
-    if cache_dir is None:
-        cache_dir = os.environ.get(ENV_CACHE_DIR) or None
-    jobs = args.jobs if args.jobs is not None else 1
     try:
-        return RunConfig(precision_bits=prec, cache_dir=cache_dir,
-                         output_format=fmt, parallelism=jobs)
+        return RunConfig(precision_bits=args.prec, cache_dir=args.cache_dir,
+                         output_format=args.format, parallelism=args.jobs)
     except ValueError as exc:
         parser.error(str(exc))
         raise AssertionError("unreachable")
@@ -615,8 +592,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     cfg = _resolve_config(args, parser)
     try:
         return args.func(args, cfg, parser)
-    except SystemExit:
-        raise
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -13,6 +13,8 @@ The pipeline this module implements:
 * ``certify``            — the one dispatch for a (sequence, d, n) instance:
                            exact, renormalized (n >= n_min) or raw, with a
                            precision ladder for the floating paths.
+* ``read_prec``          — the precision at which a certificate reads its
+                           sequence values, for value warm-ups.
 * ``is_hyperbolic``      — certified real-rootedness via the Hankel matrix of
                            Newton power sums: exact integer minors
                            (fraction-free) on rational input, interval
@@ -55,6 +57,7 @@ __all__ = [
     "is_hyperbolic",
     "jensen_poly",
     "poly_from_rational",
+    "read_prec",
     "renormalize",
     "squarefree_part",
     "sturm_count",
@@ -182,8 +185,9 @@ def jensen_poly(
         coeffs = [Fraction(math.comb(d, j) * seq.exact_at(n + j)) for j in range(d + 1)]
         return RationalPoly(coeffs=tuple(coeffs))
     wp = prec if prec is not None else 192
-    with workprec(wp + 8):
-        vals = [seq.value_at(n + j, wp + 8).value * math.comb(d, j) for j in range(d + 1)]
+    rp = read_prec(seq, d, n, wp, raw=True)
+    with workprec(rp):
+        vals = [seq.value_at(n + j, rp).value * math.comb(d, j) for j in range(d + 1)]
     with workprec(wp):
         return Poly(coeffs=tuple(+v for v in vals), prec_bits=wp)
 
@@ -242,8 +246,8 @@ def renormalize(seq: SequenceProvider, d: int, n: int, prec: int = 192) -> Poly:
     """hat J^{d,n}(X) = (delta(n)^-d / alpha(n)) * J^{d,n}((delta(n) X - 1)/e^{A(n)}).
 
     The affine substitution is expanded exactly with binomial coefficients
-    (no sampling/refitting), at a working precision padded by d*|log2 delta|
-    to absorb the alternating cancellation near X = 0.
+    (no sampling/refitting), at the working precision :func:`read_prec`
+    gives, padded by d*|log2 delta| against the cancellation near X = 0.
     """
     if seq.params is None:
         raise DomainError(
@@ -257,9 +261,7 @@ def renormalize(seq: SequenceProvider, d: int, n: int, prec: int = 192) -> Poly:
     if d < 1:
         raise DomainError(f"renormalize requires degree d >= 1, got {d}")
 
-    probe = params.delta_of_n(n, 64)
-    pad = d * max(0, -int(mpmath.mag(probe))) + 48
-    wp = prec + pad
+    wp = read_prec(seq, d, n, prec)
     with workprec(wp):
         a_val = params.A_of_n(n, wp)
         delta = params.delta_of_n(n, wp)
@@ -600,6 +602,23 @@ def certify_renormalized(
     return _climb(lambda prec: renormalize(seq, d, n, prec), ladder)
 
 
+def _renormalizes(seq: SequenceProvider, n: int) -> bool:
+    return seq.params is not None and n >= seq.params.n_min
+
+
+def read_prec(seq: SequenceProvider, d: int, n: int, prec: int, raw: bool = False) -> int:
+    """Bits at which the certificate of J^{d,n} reads ``seq`` on rung ``prec``.
+
+    Where :func:`certify` renormalizes, the read pads by d*|log2 delta(n)| + 48
+    guard bits, which absorb the alternating cancellation of the affine
+    substitution; the raw Jensen polynomial (or ``raw=True``) pads by 8.
+    """
+    if raw or not _renormalizes(seq, n):
+        return prec + 8
+    probe = seq.params.delta_of_n(n, 64)
+    return prec + d * max(0, -int(mpmath.mag(probe))) + 48
+
+
 def certify(
     seq: SequenceProvider,
     d: int,
@@ -615,7 +634,7 @@ def certify(
     """
     if seq.exact_at is not None:
         return is_hyperbolic(jensen_poly(seq, d, n))
-    if seq.params is not None and n >= seq.params.n_min:
+    if _renormalizes(seq, n):
         return certify_renormalized(seq, d, n, ladder)
     return _climb(lambda prec: jensen_poly(seq, d, n, prec=prec), ladder)
 

@@ -155,7 +155,7 @@ def _parse_decimal(sign: str, mantissa: str, exp10: int, prec: int) -> mpf:
 # Cache records
 # ---------------------------------------------------------------------------
 
-_SOURCES = ("exact", "asymptotic", "file")
+_SOURCES = ("exact",)
 
 _RECORD_RE = re.compile(
     r"^n=(\d+) prec=(\d+) src=([a-z_]+) val=([+-])(\d+)e(-?\d+)$"

@@ -17,7 +17,8 @@ positive root of  n = L (pi e^L + 3/4)  (solved in :mod:`.asymptotics`).  Two
 quadrature back ends share a certified peak window:
 
 * tanh-sinh quadrature (``mpmath.mp.quad``) on [u_lo, L, u_hi] — the general
-  path, used for real n and small integers;
+  path, used for real n and small integers; its error estimate must stay
+  below 2^-(prec+5) relative;
 * a doubling-refinement trapezoid rule on [0, u_hi] — used for integer
   n >= 64, where periodic-grade convergence makes it 5-10x faster; two
   successive refinements must agree to 2^-(prec+5) relative.
@@ -237,9 +238,12 @@ def _F_tanh_sinh(n: Number, prec: int) -> mpf:
         g = _make_integrand(n, wp)
         u_lo, u_peak, u_hi = _peak_window(g, n, wp, prec + 30)
         points = [u_lo, u_peak, u_hi] if u_lo < u_peak < u_hi else [u_lo, u_hi]
-        value = mp.quad(g, points)
+        value, error = mp.quad(g, points, error=True)
         if value <= 0 or not mpmath.isfinite(value):
             raise PrecisionFailure(f"tanh-sinh quadrature failed for n={n}")
+        if error > value * mpf(2) ** (-(prec + 5)):  # the trapezoid's acceptance rule
+            raise PrecisionFailure(f"tanh-sinh error estimate {mpmath.nstr(error, 3)} "
+                                   f"too large for F({n}) at {prec} bits")
         return +value
 
 
@@ -333,6 +337,23 @@ def F_exact(n: Number, prec: int) -> BigReal:
 # ---------------------------------------------------------------------------
 
 
+def _escalate(prec: int, gap_guess: int, measure, what: str):
+    """Raise the working precision until a cancelling sum keeps ``prec`` bits.
+
+    ``measure(wp)`` runs under ``workprec(wp + 16)`` and returns the sum and
+    the exponent gap its subtraction swallowed (None if the sum vanished).
+    A gap wider than ``gap_guess`` retries with ``max(gap + 8, 2 * gap_guess)``.
+    """
+    for _attempt in range(6):
+        wp = prec + 24 + gap_guess
+        with workprec(wp + 16):
+            value, gap = measure(wp)
+        if gap is not None and gap <= gap_guess:
+            return value, gap
+        gap_guess = gap_guess * 2 if gap is None else max(gap + 8, gap_guess * 2)
+    raise PrecisionFailure(f"{what} cancellation exceeded the ladder")
+
+
 def _check_even_positive(n: int) -> None:
     if not isinstance(n, int) or n <= 0:
         raise DomainError(f"lambda_deriv requires a positive integer n, got {n!r}")
@@ -354,22 +375,17 @@ def lambda_deriv(n: int, prec: int) -> BigReal:
     _require_prec(prec)
 
     const_term = -(1 << (n + 2)) * math.factorial(n)  # exact integer
-    gap_guess = 8
-    for _attempt in range(6):
-        wp = prec + 24 + gap_guess
-        with workprec(wp + 16):
-            f_val = _F_raw(n, wp)
-            term2 = f_val / mpf(2) ** (n - 1)
-            total = mpf(const_term) + term2
-            if total == 0:
-                gap_guess *= 2
-                continue
-            gap = max(mpmath.mag(term2), mpmath.mag(const_term)) - mpmath.mag(total)
-        if gap <= gap_guess:
-            with workprec(prec):
-                return BigReal(+total, prec)
-        gap_guess = max(gap + 8, gap_guess * 2)
-    raise PrecisionFailure(f"lambda_deriv({n}) cancellation exceeded the ladder")
+
+    def measure(wp: int):
+        term2 = _F_raw(n, wp) / mpf(2) ** (n - 1)
+        total = mpf(const_term) + term2
+        if total == 0:
+            return total, None
+        return total, max(mpmath.mag(term2), mpmath.mag(const_term)) - mpmath.mag(total)
+
+    total, _gap = _escalate(prec, 8, measure, f"lambda_deriv({n})")
+    with workprec(prec):
+        return BigReal(+total, prec)
 
 
 def lambda_deriv_or_zero(n: int, prec: int) -> BigReal:
@@ -395,31 +411,19 @@ def gamma_exact(n: int, prec: int) -> GammaValue:
     # (2n)!/n! * 2^(2n-1): exact integer denominator of the prefactor.
     denom = (math.factorial(2 * n) // math.factorial(n)) << (2 * n - 1)
 
-    gap_guess = 4
-    for _attempt in range(6):
-        wp = prec + 24 + gap_guess
-        with workprec(wp + 16):
-            f1 = _F_raw(2 * n - 2, wp)
-            f2 = _F_raw(2 * n, wp)
-            term1 = weight * f1
-            diff = term1 - f2
-            if diff <= 0:
-                raise PrecisionFailure(
-                    f"gamma_exact({n}): positivity lost in the subtraction"
-                )
-            gap = mpmath.mag(term1) - mpmath.mag(diff)
-        if gap <= gap_guess:
-            with workprec(wp + 16):
-                value = diff / mpf(denom)
-            with workprec(prec):
-                rounded = +value
-            if rounded <= 0:
-                raise PrecisionFailure(f"gamma_exact({n}) lost positivity")
-            return GammaValue(
-                n=n,
-                value=BigReal(rounded, prec),
-                source="exact_integral",
-                cancel_bits=int(gap),
+    def measure(wp: int):
+        term1 = weight * _F_raw(2 * n - 2, wp)
+        diff = term1 - _F_raw(2 * n, wp)
+        if diff <= 0:
+            raise PrecisionFailure(
+                f"gamma_exact({n}): positivity lost in the subtraction"
             )
-        gap_guess = max(gap + 8, gap_guess * 2)
-    raise PrecisionFailure(f"gamma_exact({n}) cancellation exceeded the ladder")
+        return diff / mpf(denom), mpmath.mag(term1) - mpmath.mag(diff)
+
+    value, gap = _escalate(prec, 4, measure, f"gamma_exact({n})")
+    with workprec(prec):
+        rounded = +value
+    if rounded <= 0:
+        raise PrecisionFailure(f"gamma_exact({n}) lost positivity")
+    return GammaValue(n=n, value=BigReal(rounded, prec), source="exact_integral",
+                      cancel_bits=int(gap))

@@ -1,4 +1,5 @@
-"""End-to-end command-line checks (subprocess level, real exit codes)."""
+"""End-to-end command-line checks (subprocess level, real exit codes; in-process
+where a test patches the program)."""
 
 import json
 import os
@@ -6,6 +7,10 @@ import subprocess
 import sys
 
 import pytest
+
+from jensenpoly import cli, sequences
+from jensenpoly.sequences import GammaCache, zeta_gamma_provider
+from jensenpoly.zeta_core import PrecisionFailure
 
 CMD = [sys.executable, "-m", "jensenpoly.cli"]
 
@@ -48,6 +53,14 @@ class TestGammaCommand:
         after = run("gamma", "5", "--exact", "--prec", "128")
         assert before.returncode == after.returncode == 0
         assert before.stdout == after.stdout
+
+    def test_flags_before_subcommand_kept(self, tmp_path):
+        res = run("--format", "csv", "--cache-dir", str(tmp_path), "--prec", "96",
+                  "gamma", "7", "--exact", "--prec", "128")
+        assert res.returncode == 0
+        assert res.stdout.splitlines()[0] == "n,gamma"
+        # --prec given on both sides: the later one wins
+        assert [r.prec_bits for r in GammaCache(tmp_path).entries()] == [128]
 
 
 class TestJensenCommand:
@@ -97,6 +110,40 @@ class TestSweepCommand:
                 "--cache-dir", str(tmp_path / "c2"), "--jobs", "2")
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
+
+    def test_warm_up_stores_first_rung_reads(self, tmp_path, monkeypatch, capsys):
+        from jensenpoly.jensen import read_prec
+
+        computed = []
+        real = cli.gamma_exact
+
+        def counting(n, prec):
+            computed.append(n)
+            return real(n, prec)
+
+        monkeypatch.setattr(cli, "gamma_exact", counting)
+        monkeypatch.setattr(sequences, "gamma_exact", counting)
+        args = ["sweep", "zeta", "1..2", "100..101", "--format", "csv"]
+        one, two = tmp_path / "one", tmp_path / "two"
+        assert cli.main(args + ["--cache-dir", str(one), "--jobs", "1"]) == 0
+        out_one = capsys.readouterr().out
+        assert sorted(computed) == [100, 101, 102, 103]  # once per value
+        seq = zeta_gamma_provider()
+        want = max(read_prec(seq, d, n, 192) for d in (1, 2) for n in (100, 101))
+        assert [r.prec_bits for r in GammaCache(one).entries()] == [want] * 4
+        res = run(*args, "--cache-dir", str(two), "--jobs", "2")
+        assert res.returncode == 0
+        assert res.stdout == out_one
+        cache_file = GammaCache.FILENAME
+        assert (two / cache_file).read_bytes() == (one / cache_file).read_bytes()
+
+    def test_precision_failure_exit_two(self, monkeypatch, capsys):
+        def failing(*args, **kwargs):
+            raise PrecisionFailure("ladder exhausted")
+
+        monkeypatch.setattr(cli, "certify", failing)
+        assert cli.main(["sweep", "partition", "2", "25..26"]) == 2
+        assert capsys.readouterr().err == "precision failure: ladder exhausted\n"
 
 
 class TestFindNCommand:

@@ -111,6 +111,7 @@ class TestRecordFormat:
             "n=1 prec=128 val=+123e-5",               # missing src
             "n=x prec=128 src=exact val=+123e-5",     # bad n
             "n=1 prec=128 src=EXACT val=+123e-5",     # bad tag case
+            "n=1 prec=128 src=asymptotic val=+123e-5",  # tag nothing writes
             "garbage",
         ],
     )

@@ -6,12 +6,14 @@ import mpmath
 import pytest
 from mpmath import mpf, workprec
 
+from jensenpoly import zeta_core
 from jensenpoly.zeta_core import (
     MIN_PREC,
     BigReal,
     DomainError,
     F_exact,
     GammaValue,
+    PrecisionFailure,
     clear_f_memo,
     gamma_exact,
     lambda_deriv,
@@ -102,6 +104,13 @@ class TestFIntegral:
         a = _F_tanh_sinh(200, prec)
         b = _F_trapezoid(200, prec)
         assert rel_close(a, b, prec - 10)
+
+    def test_tanh_sinh_error_estimate_checked(self, monkeypatch):
+        # An estimate above the trapezoid's 2^-(prec+5) relative tolerance fails.
+        monkeypatch.setattr(zeta_core.mp, "quad",
+                            lambda f, points, error=False: (mpf(1), mpf("1e-10")))
+        with pytest.raises(PrecisionFailure):
+            _F_tanh_sinh(10, 64)
 
     def test_monotone_growth(self):
         assert F_exact(10, 64).value < F_exact(12, 64).value

@@ -210,9 +210,8 @@ def _warm_gamma(cache: GammaCache, ns: Iterable[int], prec: int, jobs: int) -> N
 def _warm_jensen(seq, ds: List[int], ns: List[int], prec: int, jobs: int) -> None:
     """Store the values J^{d,n} reads on rung ``prec``, for d in ``ds``, n in ``ns``."""
     if seq.exact_at is None and ds and ns:
-        d_max = max(ds)  # read_prec grows with d
-        warm_prec = max(read_prec(seq, d_max, n, prec) for n in ns)
-        _warm_gamma(seq.cache, [n + j for n in ns for j in range(d_max + 1)],
+        warm_prec = max(read_prec(seq, d, n, prec) for n in ns for d in ds)
+        _warm_gamma(seq.cache, [n + j for n in ns for j in range(max(ds) + 1)],
                     warm_prec, jobs)
 
 
@@ -230,11 +229,7 @@ def _provider_for(cfg: RunConfig, name: str):
 
 
 def _cmd_gamma(args: argparse.Namespace, cfg: RunConfig, parser: _Parser) -> int:
-    mode = "compare"
-    if args.exact:
-        mode = "exact"
-    elif args.asymptotic:
-        mode = "asymptotic"
+    mode = "exact" if args.exact else "asymptotic" if args.asymptotic else "compare"
     min_n = 1 if mode == "exact" else 2  # the asymptotic form needs n >= 2
     for n in args.n:
         if n < min_n:
@@ -324,20 +319,16 @@ def _cmd_sweep(args: argparse.Namespace, cfg: RunConfig, parser: _Parser) -> int
     _warm_jensen(seq, d_values, n_values, ladder[0], cfg.parallelism)
 
     rows: List[Dict[str, str]] = []
-    n_bad = 0
-    n_indet = 0
     for d in d_values:
         for n in n_values:
             cert = certify(seq, d, n, ladder)
-            if cert.verdict == "not_hyperbolic":
-                n_bad += 1
-            elif cert.verdict == "indeterminate":
-                n_indet += 1
             rows.append({
                 "seq": args.seq, "d": str(d), "n": str(n),
                 "verdict": cert.verdict, "method": cert.method,
                 "margin": mpmath.nstr(cert.margin.value, 6),
             })
+    n_bad = sum(row["verdict"] == "not_hyperbolic" for row in rows)
+    n_indet = sum(row["verdict"] == "indeterminate" for row in rows)
 
     meta = {"command": "sweep", "seq": args.seq, "prec_bits": cfg.precision_bits,
             "ladder": list(ladder), "version": __version__}

@@ -26,6 +26,7 @@ The pipeline this module implements:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -64,6 +65,7 @@ __all__ = [
 ]
 
 DEFAULT_LADDER: Tuple[int, ...] = (128, 256, 512, 1024)
+_RAW_GUARD = 8  # guard bits for reading the raw Jensen polynomial's values
 
 
 class DegenerateChainError(ArithmeticError):
@@ -185,7 +187,7 @@ def jensen_poly(
         coeffs = [Fraction(math.comb(d, j) * seq.exact_at(n + j)) for j in range(d + 1)]
         return RationalPoly(coeffs=tuple(coeffs))
     wp = prec if prec is not None else 192
-    rp = read_prec(seq, d, n, wp, raw=True)
+    rp = wp + _RAW_GUARD
     with workprec(rp):
         vals = [seq.value_at(n + j, rp).value * math.comb(d, j) for j in range(d + 1)]
     with workprec(wp):
@@ -261,7 +263,7 @@ def renormalize(seq: SequenceProvider, d: int, n: int, prec: int = 192) -> Poly:
     if d < 1:
         raise DomainError(f"renormalize requires degree d >= 1, got {d}")
 
-    wp = read_prec(seq, d, n, prec)
+    wp = _renormalized_read_prec(params, d, n, prec)
     with workprec(wp):
         a_val = params.A_of_n(n, wp)
         delta = params.delta_of_n(n, wp)
@@ -606,17 +608,24 @@ def _renormalizes(seq: SequenceProvider, n: int) -> bool:
     return seq.params is not None and n >= seq.params.n_min
 
 
-def read_prec(seq: SequenceProvider, d: int, n: int, prec: int, raw: bool = False) -> int:
+# A value warm-up asks for the reads of every (d, n) it will certify, and then
+# renormalize asks again on the first rung; both get one delta(n) probe.
+@functools.lru_cache(maxsize=4096)
+def _renormalized_read_prec(params, d: int, n: int, prec: int) -> int:
+    probe = params.delta_of_n(n, 64)
+    return prec + d * max(0, -int(mpmath.mag(probe))) + 48
+
+
+def read_prec(seq: SequenceProvider, d: int, n: int, prec: int) -> int:
     """Bits at which the certificate of J^{d,n} reads ``seq`` on rung ``prec``.
 
     Where :func:`certify` renormalizes, the read pads by d*|log2 delta(n)| + 48
     guard bits, which absorb the alternating cancellation of the affine
-    substitution; the raw Jensen polynomial (or ``raw=True``) pads by 8.
+    substitution; the raw Jensen polynomial pads by ``_RAW_GUARD``.
     """
-    if raw or not _renormalizes(seq, n):
-        return prec + 8
-    probe = seq.params.delta_of_n(n, 64)
-    return prec + d * max(0, -int(mpmath.mag(probe))) + 48
+    if _renormalizes(seq, n):
+        return _renormalized_read_prec(seq.params, d, n, prec)
+    return prec + _RAW_GUARD
 
 
 def certify(

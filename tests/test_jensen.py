@@ -1,5 +1,6 @@
 """Jensen polynomials, renormalization, certification, thresholds, reports."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from jensenpoly.jensen import (
     make_poly,
     make_rational_poly,
     poly_from_rational,
+    read_prec,
     renormalize,
     squarefree_part,
     sturm_count,
@@ -222,6 +224,23 @@ class TestRenormalize:
             raw = is_hyperbolic(jensen_poly(zeta_seq, d, n, prec=512))
             hat = certify_renormalized(zeta_seq, d, n)
             assert raw.verdict == hat.verdict == "hyperbolic"
+
+    def test_read_prec_probe_shared_with_renormalize(self, partition_seq):
+        calls = []
+        base = partition_seq.params
+
+        def delta(n, prec):
+            calls.append((n, prec))
+            return base.delta_of_n(n, prec)
+
+        seq = dataclasses.replace(
+            partition_seq, params=dataclasses.replace(base, delta_of_n=delta))
+        assert read_prec(seq, 3, 2, 160) == 168  # below n_min: the raw guard
+        wp = read_prec(seq, 3, 200, 160)
+        renormalize(seq, 3, 200, 160)
+        renormalize(seq, 3, 200, 256)
+        # the first rung reuses the warm-up's probe; a new rung probes again
+        assert calls == [(200, 64), (200, wp), (200, 64), (200, wp + 96)]
 
     def test_coefficients_approach_hermite(self, partition_seq):
         h3 = [mpf(c.numerator) / c.denominator for c in hermite(3).coeffs]

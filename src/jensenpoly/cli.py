@@ -37,6 +37,7 @@ from . import __version__
 from .asymptotics import gamma_hat
 from .jensen import (
     DEFAULT_LADDER,
+    Poly,
     certify,
     effective_check_d4,
     find_N,
@@ -124,6 +125,12 @@ def _fixed_trunc(x: mpf, places: int) -> str:
     s = str(scaled).rjust(places + 1, "0")
     body = f"{s[:-places]}.{s[-places:]}" if places else s
     return ("-" if sign_bit else "") + body
+
+
+def _renormalized_strs(poly: Poly) -> List[str]:
+    """Renormalized coefficients, highest power first: 4 decimals, 3 from degree 6."""
+    places = 3 if poly.degree >= 6 else 4
+    return [_fixed_trunc(c, places) for c in reversed(poly.coeffs)]
 
 
 def _poly_str(coeffs_desc: Sequence[str], degree: int) -> str:
@@ -276,8 +283,7 @@ def _cmd_jensen(args: argparse.Namespace, cfg: RunConfig, parser: _Parser) -> in
                 f"{seq.params.n_min if seq.params else '?'}, got {n}"
             )
         poly = renormalize(seq, d, n, cfg.precision_bits)
-        places = 3 if d >= 6 else 4
-        coeff_strs = [_fixed_trunc(c, places) for c in reversed(poly.coeffs)]
+        coeff_strs = _renormalized_strs(poly)
         kindrow = "renormalized"
     else:
         poly = jensen_poly(seq, d, n, prec=cfg.precision_bits)
@@ -429,22 +435,21 @@ def _cmd_tables(args: argparse.Namespace, cfg: RunConfig, parser: _Parser) -> in
             })
 
     shifts = [100, 200, 300, 400]
-    jensen_groups = [(group, seq, ds, places) for group, seq, ds, places in (
-        ("partition-jensen", part, [2, 3], 4),
-        ("zeta-jensen", zeta, [2, 3], 4),
-        ("zeta-jensen-6", zeta, [6], 3),
+    jensen_groups = [(group, seq, ds) for group, seq, ds in (
+        ("partition-jensen", part, [2, 3]),
+        ("zeta-jensen", zeta, [2, 3]),
+        ("zeta-jensen-6", zeta, [6]),
     ) if group in groups]
     # One warm-up for every zeta degree asked for computes each value once.
-    _warm_jensen(zeta, [d for _, seq, ds, _ in jensen_groups if seq is zeta for d in ds],
+    _warm_jensen(zeta, [d for _, seq, ds in jensen_groups if seq is zeta for d in ds],
                  shifts, cfg.precision_bits, cfg.parallelism)
-    for group, seq, ds, places in jensen_groups:
+    for group, seq, ds in jensen_groups:
         for d in ds:
             for n in shifts:
                 poly = renormalize(seq, d, n, cfg.precision_bits)
-                cs = [_fixed_trunc(c, places) for c in reversed(poly.coeffs)]
                 rows.append({
                     "group": group, "n": str(n), "d": str(d), "entry": "",
-                    "value": _poly_str(cs, poly.degree),
+                    "value": _poly_str(_renormalized_strs(poly), poly.degree),
                 })
 
     if "nd" in groups:

@@ -16,10 +16,11 @@ The pipeline this module implements:
 * ``read_prec``          — the precision at which a certificate reads its
                            sequence values, for value warm-ups.
 * ``is_hyperbolic``      — certified real-rootedness via the Hankel matrix of
-                           Newton power sums: exact integer minors
-                           (fraction-free) on rational input, interval
-                           arithmetic on floating input, Sturm fallback for
-                           degenerate exact chains.
+                           Newton power sums: one Bareiss elimination of its
+                           leading minors, over the integers on rational
+                           input (Sturm fallback on a vanishing minor) or
+                           over intervals on floating input (``indeterminate``
+                           on an undecided minor).
 * ``find_N``             — least N with every shift in [N, n_max] hyperbolic.
 * ``convergence_report`` / ``effective_check_d4`` — table diagnostics.
 """
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
@@ -323,9 +325,9 @@ class HyperbolicityCertificate:
             raise ValueError("only the interval method may return indeterminate")
 
 
-def _margin_big(x, prec: int = MIN_PREC) -> BigReal:
-    with workprec(prec):
-        return BigReal(+mpf(x), prec)
+def _margin_big(x) -> BigReal:
+    with workprec(MIN_PREC):
+        return BigReal(+mpf(x), MIN_PREC)
 
 
 def _int_coeffs(rp: RationalPoly) -> List[int]:
@@ -362,23 +364,27 @@ def _scaled_power_sums(a: list, count: int) -> list:
     return t
 
 
-def _leading_minors_int(t: List[int], d: int) -> List[int]:
-    """Leading principal minors of the d x d Hankel (t_{i+j}) via Bareiss.
+def _leading_minors(t: list, d: int, div: Callable) -> list:
+    """Leading principal minors of the d x d Hankel matrix (t_{i+j}) by Bareiss.
 
-    Stops early after a non-positive pivot (the corresponding minor value is
-    still returned as the last element).
+    Fraction-free over any integral domain: the k-th pivot is the k-th
+    leading minor, and ``div`` is the ring's exact division (floor division
+    on integers, true division on intervals).  Stops after the first minor
+    for which ``pivot > 0`` is not True; an undecided interval comparison
+    gives None.  The matrix stays symmetric, so only its upper triangle is
+    updated.
     """
     M = [[t[i + j] for j in range(d)] for i in range(d)]
-    minors: List[int] = []
+    minors = []
     prev = 1
     for k in range(d):
         pivot = M[k][k]
         minors.append(pivot)
-        if pivot <= 0:
+        if (pivot > 0) is not True:
             break
         for i in range(k + 1, d):
-            for j in range(k + 1, d):
-                M[i][j] = (M[i][j] * pivot - M[i][k] * M[k][j]) // prev
+            for j in range(i, d):
+                M[i][j] = div(M[i][j] * pivot - M[k][i] * M[k][j], prev)
         prev = pivot
     return minors
 
@@ -491,12 +497,12 @@ def _exact_certificate(rp: RationalPoly) -> HyperbolicityCertificate:
                                         _margin_big(1), 0)
     a = _int_coeffs(rp)
     t = _scaled_power_sums(a, 2 * d - 1)
-    minors = _leading_minors_int(t, d)
-    if all(m > 0 for m in minors) and len(minors) == d:
+    minors = _leading_minors(t, d, operator.floordiv)
+    last = minors[-1]
+    if last > 0:  # the elimination stops at the first non-positive minor
         return HyperbolicityCertificate(
             "hyperbolic", "hermite_hankel_exact", _margin_big(min(minors)), d
         )
-    last = minors[-1]
     if last < 0:
         return HyperbolicityCertificate(
             "not_hyperbolic", "hermite_hankel_exact", _margin_big(last), d
@@ -524,42 +530,17 @@ def _interval_certificate(p: Poly) -> HyperbolicityCertificate:
     try:
         iv.prec = p.prec_bits + 32
         a = [iv.mpf(c) for c in p.coeffs]  # exact point intervals
-        if 0 in a[d]:
-            return HyperbolicityCertificate(
-                "indeterminate", "hermite_hankel_interval", _margin_big(0), d
-            )
         t = _scaled_power_sums(a, 2 * d - 1)
-        # Gaussian elimination; minors are products of accepted pivots.
-        M = [[t[i + j] for j in range(d)] for i in range(d)]
-        minor = iv.mpf(1)
-        margin: Optional[mpf] = None
-        for k in range(d):
-            pivot = M[k][k]
-            minor = minor * pivot
-            if minor.a > 0:
-                m_lo = mpf(minor.a)
-                if margin is None or m_lo < margin:
-                    margin = m_lo
-            elif minor.b < 0:
-                return HyperbolicityCertificate(
-                    "not_hyperbolic", "hermite_hankel_interval",
-                    _margin_big(mpf(minor.b)), d,
-                )
-            else:
-                return HyperbolicityCertificate(
-                    "indeterminate", "hermite_hankel_interval", _margin_big(0), d
-                )
-            if pivot.a <= 0:  # minor certified positive requires pivot > 0 too
-                return HyperbolicityCertificate(
-                    "indeterminate", "hermite_hankel_interval", _margin_big(0), d
-                )
-            for i in range(k + 1, d):
-                factor = M[i][k] / pivot
-                for j in range(k, d):
-                    M[i][j] = M[i][j] - factor * M[k][j]
+        minors = _leading_minors(t, d, operator.truediv)
+        last = minors[-1]
+        if last.a > 0:  # the elimination stops at the first undecided minor
+            verdict, margin = "hyperbolic", min(mpf(m.a) for m in minors)
+        elif last.b < 0:
+            verdict, margin = "not_hyperbolic", mpf(last.b)
+        else:
+            verdict, margin = "indeterminate", 0
         return HyperbolicityCertificate(
-            "hyperbolic", "hermite_hankel_interval",
-            _margin_big(margin if margin is not None else mpf(1)), d,
+            verdict, "hermite_hankel_interval", _margin_big(margin), d
         )
     finally:
         iv.prec = saved

@@ -390,6 +390,7 @@ def lambda_deriv(n: int, prec: int) -> BigReal:
 
 def lambda_deriv_or_zero(n: int, prec: int) -> BigReal:
     """Convenience path: exact zero for odd n > 0, else :func:`lambda_deriv`."""
+    _require_prec(prec)
     if isinstance(n, int) and n > 0 and n % 2 == 1:
         return BigReal(mpf(0), prec)
     return lambda_deriv(n, prec)

@@ -2,8 +2,11 @@
 
 import dataclasses
 import math
+import operator
+import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from mpmath import mpf, workprec
 
@@ -29,9 +32,11 @@ from jensenpoly.jensen import (
     renormalize,
     squarefree_part,
     sturm_count,
+    _leading_minors,
+    _scaled_power_sums,
 )
 from jensenpoly.sequences import load_sequence, partition
-from jensenpoly.zeta_core import DomainError
+from jensenpoly.zeta_core import DomainError, PrecisionFailure
 
 
 def _rp(*coeffs_desc):
@@ -157,6 +162,13 @@ class TestIsHyperbolic:
         q = make_poly([mpf(2), mpf(0), mpf(1)], 128)  # X^2 + 2
         assert is_hyperbolic(q).verdict == "not_hyperbolic"
 
+    def test_interval_double_root_indeterminate(self):
+        # (X-1)^2: the second Hankel minor is exactly 0, which no interval
+        # comparison can certify positive or negative.
+        cert = is_hyperbolic(make_poly([1, -2, 1], 128))
+        assert (cert.verdict, cert.method) == ("indeterminate", "hermite_hankel_interval")
+        assert cert.margin.value == 0
+
     def test_positive_scaling_invariance(self):
         base = [Fraction(-6), Fraction(11), Fraction(-6), Fraction(1)]
         for scale in (Fraction(3), Fraction(1, 7)):
@@ -169,6 +181,58 @@ class TestIsHyperbolic:
             cert = is_hyperbolic(jensen_poly(partition_seq, 2, n))
             disc_ok = partition(n + 1) ** 2 >= partition(n) * partition(n + 2)
             assert (cert.verdict == "hyperbolic") == disc_ok, n
+
+
+def _random_int_poly(rng: random.Random, d: int) -> list:
+    """Ascending integer coefficients, |a_i| <= 10^30, a_d != 0.
+
+    Half the cases multiply integer linear factors with roots in a window of
+    random width, repeats allowed: the Hankel matrix is then positive
+    semidefinite, and its minors may be tiny beside the power sums.
+    """
+    if rng.random() < 0.5:
+        coeffs = [rng.choice([-1, 1]) * rng.randint(1, 10)]
+        base, width = rng.randint(-1000, 1000), rng.choice([2, 50, 1000])
+        for _ in range(d):
+            r = base + rng.randint(0, width)
+            coeffs = [(coeffs[i - 1] if i else 0) - r * (coeffs[i] if i < len(coeffs) else 0)
+                      for i in range(len(coeffs) + 1)]
+        return coeffs
+    coeffs = [rng.randint(-10**30, 10**30) for _ in range(d)]
+    return coeffs + [rng.choice([-1, 1]) * rng.randint(1, 10**30)]
+
+
+class TestLeadingMinors:
+    def test_interval_minors_contain_integer_minors(self):
+        rng = random.Random(20190514)
+        iv = mpmath.iv
+        saved = iv.prec
+        stopped_early = 0
+        try:
+            for _ in range(150):
+                d = rng.randint(1, 8)
+                a = _random_int_poly(rng, d)
+                exact = _leading_minors(_scaled_power_sums(a, 2 * d - 1), d,
+                                        operator.floordiv)
+                for prec in (64, 128, 256):
+                    iv.prec = prec
+                    t = _scaled_power_sums([iv.mpf(c) for c in a], 2 * d - 1)
+                    enclosed = _leading_minors(t, d, operator.truediv)
+                    assert len(enclosed) <= len(exact), (a, prec)
+                    stopped_early += len(enclosed) < len(exact)
+                    # checked at the working precision: at 53 bits a large
+                    # integer converts to an interval wider than the enclosure
+                    for k, m in enumerate(enclosed):
+                        assert exact[k] in m, (a, prec, k)
+        finally:
+            iv.prec = saved
+        assert stopped_early > 0  # some cases stop on an undecided minor
+
+    def test_stops_at_first_non_positive_minor(self):
+        # X^2 + 1: power sums 2, 0, -2; minors 2 and -4.
+        assert _leading_minors([2, 0, -2], 2, operator.floordiv) == [2, -4]
+        # First minor 0 ends the elimination at once.
+        assert _leading_minors([0, 1, 1], 2, operator.floordiv) == [0]
 
 
 class TestSturmTools:
@@ -280,6 +344,19 @@ class TestFindN:
         cert = certify(seq, 2, 30)
         assert (cert.verdict, cert.method) == ("hyperbolic", "hermite_hankel_interval")
         assert find_N(seq, 2, 200) == 25
+
+    def test_indeterminate_after_full_ladder(self, tmp_path):
+        # The constant 0.5 is not integer-valued and has no growth
+        # parameters; its J^{2,n} = 0.5 (1+X)^2 has a double root, which
+        # no rung can decide.
+        path = tmp_path / "half.csv"
+        path.write_text("".join(f"{n},0.5\n" for n in range(30)))
+        seq = load_sequence(path)
+        assert seq.exact_at is None and seq.params is None
+        cert = certify(seq, 2, 3)
+        assert (cert.verdict, cert.method) == ("indeterminate", "hermite_hankel_interval")
+        with pytest.raises(PrecisionFailure, match=r"ladder \(128, 256, 512, 1024\)"):
+            find_N(seq, 2, 5)
 
 
 class TestReports:

@@ -161,6 +161,14 @@ class TestLambdaDeriv:
         z = lambda_deriv_or_zero(7, 128)
         assert z.value == 0
 
+    def test_or_zero_validates_prec_for_odd_n(self):
+        # The odd-n shortcut checks its precision like the even path does.
+        for n in (3, 4):
+            with pytest.raises(DomainError, match="prec must be an integer"):
+                lambda_deriv_or_zero(n, 100.5)
+        with pytest.raises(DomainError, match="prec must be an integer"):
+            lambda_deriv_or_zero(3, 10)
+
     def test_consistency_with_gamma(self):
         # gamma(n) = (n!/(2n)!) (8n(2n-1) D(2n-2) - D(2n)) with D(k) the k-th
         # derivative at 1/2 -- an algebraic rearrangement that must agree

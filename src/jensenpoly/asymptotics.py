@@ -16,8 +16,9 @@ Four groups of operations:
   closed forms for the partition parameters m = 1/24, weight = -1/2), plus
   the consistency functional C(n, j) = n^(3/2) (gamma(n+j) e^(d^2 j^2 - A j)
   / gamma(n) - 1);
-* a two-branch Bessel-I evaluator (power series / large-x expansion), a
-  standalone tool: the growth normalizations above use closed forms instead.
+* the modified Bessel function I_kappa(x), mpmath's ``besseli`` at explicit
+  precision, a standalone tool: the growth normalizations above use closed
+  forms instead.
 
 All functions take explicit binary precision and return BigReal-valued
 results rounded at that precision.
@@ -54,16 +55,10 @@ __all__ = [
     "zeta_A_delta",
     "C_of",
     "bessel_I",
-    "BESSEL_X_SWITCH",
     "zeta_params",
     "partition_params",
     "modular_params",
 ]
-
-#: Crossover between the Bessel-I power series and the large-x expansion;
-#: chosen so both branches certify 1e-20 agreement at 128-bit precision.
-BESSEL_X_SWITCH = 30.0
-
 
 # ---------------------------------------------------------------------------
 # Saddle solver
@@ -417,91 +412,22 @@ def C_of(
 # ---------------------------------------------------------------------------
 
 
-def _bessel_series_raw(kappa: mpf, x: mpf, wp: int) -> mpf:
-    """Convergent power series sum_m (x/2)^(2m+kappa) / (m! Gamma(m+kappa+1))."""
-    with workprec(wp):
-        half = x / 2
-        # Negative-integer order: Gamma poles kill the first terms; use the
-        # standard identity I_(-m) = I_m instead.
-        if mpmath.isint(kappa) and kappa < 0:
-            kappa = -kappa
-        total = mpf(0)
-        m = 0
-        term_scale = None
-        while True:
-            denom = mpmath.factorial(m) * mpmath.gamma(m + kappa + 1)
-            term = half ** (2 * m + kappa) / denom
-            total += term
-            size = abs(term)
-            if term_scale is None or size > term_scale:
-                term_scale = size
-            # Terms eventually decay superexponentially; stop once negligible.
-            if m > 4 and size < term_scale * mpf(2) ** (-wp):
-                break
-            if m > 10000:
-                raise PrecisionFailure("Bessel-I series did not converge")
-            m += 1
-        return +total
-
-
-def _bessel_asymptotic_raw(kappa: mpf, x: mpf, wp: int, prec: int) -> mpf:
-    """Large-x expansion e^x/sqrt(2 pi x) sum_j (-1)^j a_j(kappa) / x^j.
-
-    a_j = prod_{i<=j} (4 kappa^2 - (2i-1)^2) / (8^j j!).  The expansion is
-    asymptotic: it is truncated at its smallest term, and its full error floor
-    (smallest term plus the omitted e^(-x) reflection component, relatively of
-    size e^(-2x)) must be below 2^-prec or the branch refuses
-    (PrecisionFailure) so the caller can fall back to the power series.
-    """
-    with workprec(wp):
-        four_k2 = 4 * kappa * kappa
-        total = mpf(1)
-        term = mpf(1)
-        smallest = mpf(1)
-        j = 1
-        while True:
-            factor = -(four_k2 - (2 * j - 1) ** 2) / (8 * j * x)
-            nxt = term * factor
-            if abs(nxt) >= abs(term):
-                break  # series started diverging: stop at the smallest term
-            term = nxt
-            total += term
-            smallest = abs(term)
-            if smallest < mpf(2) ** (-wp):
-                break
-            j += 1
-            if j > 4 * wp:
-                break
-        floor = max(smallest / abs(total), 2 * mpmath.exp(-2 * x))
-        if floor > mpf(2) ** (-prec):
-            raise PrecisionFailure(
-                f"Bessel-I asymptotic branch floors at {mpmath.nstr(floor, 5)} "
-                f"relative (> 2^-{prec}) for x={mpmath.nstr(x, 8)}"
-            )
-        return +(mpmath.exp(x) / mpmath.sqrt(2 * mpmath.pi * x) * total)
-
-
 def bessel_I(kappa: Number, x: Number, prec: int) -> BigReal:
-    """Modified Bessel function I_kappa(x), x > 0, dual-branch evaluation.
+    """Modified Bessel function I_kappa(x), x > 0, by ``mpmath.besseli``.
 
-    Power series below ``BESSEL_X_SWITCH``; large-x asymptotic expansion above
-    it, falling back to the (always convergent) series when the asymptotic
-    floor cannot certify ``prec`` bits.
+    Evaluated at ``prec + 32`` bits and rounded to ``prec``.  A negative
+    integer order is read as its absolute value (I_(-m) = I_m): mpmath sums
+    it around the Gamma poles, which at small x costs seconds or fails.
     """
     _require_prec(prec)
-    wp = prec + 32
-    with workprec(wp):
+    with workprec(prec + 32):
         x_mp = mpf(x)
         k_mp = mpf(kappa)
         if x_mp <= 0:
             raise DomainError(f"bessel_I requires x > 0, got {x!r}")
-        if x_mp <= BESSEL_X_SWITCH:
-            raw = _bessel_series_raw(k_mp, x_mp, wp)
-        else:
-            try:
-                raw = _bessel_asymptotic_raw(k_mp, x_mp, wp, prec)
-            except PrecisionFailure:
-                raw = _bessel_series_raw(k_mp, x_mp, wp + int(3 * float(x_mp)))
+        if mpmath.isint(k_mp) and k_mp < 0:
+            k_mp = -k_mp
+        raw = mpmath.besseli(k_mp, x_mp)
     with workprec(prec):
         return BigReal(+raw, prec)
 

@@ -27,7 +27,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import mpmath
@@ -61,7 +60,7 @@ from .zeta_core import (
     gamma_exact,
 )
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
 
 ENV_CACHE_DIR = "JENSENPOLY_CACHE_DIR"
 
@@ -69,24 +68,6 @@ EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_INDETERMINATE = 2
 EXIT_USAGE = 3
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation settings shared by all subcommands."""
-
-    precision_bits: int
-    cache_dir: Optional[str]
-    output_format: str
-    parallelism: int
-
-    def __post_init__(self) -> None:
-        if self.precision_bits < MIN_PREC:
-            raise ValueError(f"precision must be >= {MIN_PREC} bits")
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be >= 1")
-        if self.output_format not in ("table", "csv", "json"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -150,17 +131,17 @@ def _poly_str(coeffs_desc: Sequence[str], degree: int) -> str:
 def _emit(
     rows: List[Dict[str, str]],
     columns: Sequence[str],
-    cfg: RunConfig,
+    fmt: str,
     meta: Dict[str, object],
     out: io.TextIOBase,
 ) -> None:
-    """Render rows in the configured format with deterministic ordering."""
-    if cfg.output_format == "csv":
+    """Render rows in format ``fmt`` with deterministic ordering."""
+    if fmt == "csv":
         writer = _csv.writer(out, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
             writer.writerow([row.get(c, "") for c in columns])
-    elif cfg.output_format == "json":
+    elif fmt == "json":
         payload = {"meta": dict(meta), "rows": rows}
         json.dump(payload, out, indent=2)
         out.write("\n")
@@ -222,11 +203,11 @@ def _warm_jensen(seq, ds: List[int], ns: List[int], prec: int, jobs: int) -> Non
                     warm_prec, jobs)
 
 
-def _provider_for(cfg: RunConfig, name: str):
+def _provider_for(name: str, cache_dir: Optional[str]):
     if name == "partition":
         return partition_provider()
     if name == "zeta":
-        return zeta_gamma_provider(cfg.cache_dir)
+        return zeta_gamma_provider(cache_dir)
     raise ValueError(f"unknown sequence {name!r}")
 
 
@@ -235,27 +216,27 @@ def _provider_for(cfg: RunConfig, name: str):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_gamma(args: argparse.Namespace, cfg: RunConfig, parser: _Parser) -> int:
+def _cmd_gamma(args: argparse.Namespace, parser: _Parser) -> int:
     mode = "exact" if args.exact else "asymptotic" if args.asymptotic else "compare"
     min_n = 1 if mode == "exact" else 2  # the asymptotic form needs n >= 2
     for n in args.n:
         if n < min_n:
             parser.error(f"gamma {mode} requires n >= {min_n}, got {n}")
-    provider = _provider_for(cfg, "zeta")
+    provider = _provider_for("zeta", args.cache_dir)
     if mode != "asymptotic":
-        _warm_gamma(provider.cache, args.n, cfg.precision_bits, cfg.parallelism)
+        _warm_gamma(provider.cache, args.n, args.prec, args.jobs)
 
     rows: List[Dict[str, str]] = []
     for n in sorted(set(args.n)):
         row: Dict[str, str] = {"n": str(n)}
         if mode in ("exact", "compare"):
-            g = provider.value_at(n, cfg.precision_bits).value
+            g = provider.value_at(n, args.prec).value
             row["gamma"] = _sci_trunc(g, 11)
         if mode in ("asymptotic", "compare"):
-            gh = gamma_hat(n, cfg.precision_bits).value.value
+            gh = gamma_hat(n, args.prec).value.value
             row["gamma_hat"] = _sci_trunc(gh, 11)
         if mode == "compare":
-            with workprec(cfg.precision_bits):
+            with workprec(args.prec):
                 row["ratio"] = _fixed_trunc(g / gh, 9)
         rows.append(row)
     columns = {
@@ -263,14 +244,14 @@ def _cmd_gamma(args: argparse.Namespace, cfg: RunConfig, parser: _Parser) -> int
         "asymptotic": ["n", "gamma_hat"],
         "compare": ["n", "gamma_hat", "gamma", "ratio"],
     }[mode]
-    meta = {"command": "gamma", "mode": mode, "prec_bits": cfg.precision_bits,
+    meta = {"command": "gamma", "mode": mode, "prec_bits": args.prec,
             "version": __version__}
-    _emit(rows, columns, cfg, meta, sys.stdout)
+    _emit(rows, columns, args.format, meta, sys.stdout)
     return EXIT_OK
 
 
-def _cmd_jensen(args: argparse.Namespace, cfg: RunConfig, parser: _Parser) -> int:
-    seq = _provider_for(cfg, args.seq)
+def _cmd_jensen(args: argparse.Namespace, parser: _Parser) -> int:
+    seq = _provider_for(args.seq, args.cache_dir)
     d, n = args.d, args.n
     if d < 1:
         parser.error(f"degree must be >= 1, got {d}")
@@ -282,11 +263,11 @@ def _cmd_jensen(args: argparse.Namespace, cfg: RunConfig, parser: _Parser) -> in
                 f"renormalization for {args.seq} needs n >= "
                 f"{seq.params.n_min if seq.params else '?'}, got {n}"
             )
-        poly = renormalize(seq, d, n, cfg.precision_bits)
+        poly = renormalize(seq, d, n, args.prec)
         coeff_strs = _renormalized_strs(poly)
         kindrow = "renormalized"
     else:
-        poly = jensen_poly(seq, d, n, prec=cfg.precision_bits)
+        poly = jensen_poly(seq, d, n, prec=args.prec)
         if hasattr(poly.coeffs[0], "denominator"):  # exact path
             coeff_strs = [str(c.numerator) if c.denominator == 1 else str(c)
                           for c in reversed(poly.coeffs)]
@@ -299,19 +280,19 @@ def _cmd_jensen(args: argparse.Namespace, cfg: RunConfig, parser: _Parser) -> in
          "power": str(poly.degree - i), "coefficient": c}
         for i, c in enumerate(coeff_strs)
     ]
-    meta = {"command": "jensen", "prec_bits": cfg.precision_bits,
+    meta = {"command": "jensen", "prec_bits": args.prec,
             "version": __version__}
-    if cfg.output_format == "table":
+    if args.format == "table":
         print(f"J[{args.seq}] d={d} n={n} ({kindrow})")
         print(_poly_str(coeff_strs, poly.degree))
     else:
         _emit(rows, ["seq", "kind", "d", "n", "power", "coefficient"],
-              cfg, meta, sys.stdout)
+              args.format, meta, sys.stdout)
     return EXIT_OK
 
 
-def _cmd_sweep(args: argparse.Namespace, cfg: RunConfig, parser: _Parser) -> int:
-    seq = _provider_for(cfg, args.seq)
+def _cmd_sweep(args: argparse.Namespace, parser: _Parser) -> int:
+    seq = _provider_for(args.seq, args.cache_dir)
     d_values = _parse_range(args.d_range, "degree", parser)
     n_values = _parse_range(args.n_range, "shift", parser)
     for d in d_values:
@@ -321,8 +302,8 @@ def _cmd_sweep(args: argparse.Namespace, cfg: RunConfig, parser: _Parser) -> int
         if n < 0:
             parser.error(f"shifts must be >= 0, got {n}")
 
-    ladder = [cfg.precision_bits] + [p for p in DEFAULT_LADDER if p > cfg.precision_bits]
-    _warm_jensen(seq, d_values, n_values, ladder[0], cfg.parallelism)
+    ladder = [args.prec] + [p for p in DEFAULT_LADDER if p > args.prec]
+    _warm_jensen(seq, d_values, n_values, ladder[0], args.jobs)
 
     rows: List[Dict[str, str]] = []
     for d in d_values:
@@ -336,9 +317,9 @@ def _cmd_sweep(args: argparse.Namespace, cfg: RunConfig, parser: _Parser) -> int
     n_bad = sum(row["verdict"] == "not_hyperbolic" for row in rows)
     n_indet = sum(row["verdict"] == "indeterminate" for row in rows)
 
-    meta = {"command": "sweep", "seq": args.seq, "prec_bits": cfg.precision_bits,
+    meta = {"command": "sweep", "seq": args.seq, "prec_bits": args.prec,
             "ladder": list(ladder), "version": __version__}
-    if cfg.output_format == "table":
+    if args.format == "table":
         total = len(rows)
         print(f"sweep {args.seq}: {total} certificates; "
               f"{total - n_bad - n_indet} hyperbolic, {n_bad} not, {n_indet} indeterminate")
@@ -347,7 +328,7 @@ def _cmd_sweep(args: argparse.Namespace, cfg: RunConfig, parser: _Parser) -> int
                 print(f"  d={row['d']} n={row['n']}: {row['verdict']} ({row['method']})")
     else:
         _emit(rows, ["seq", "d", "n", "verdict", "method", "margin"],
-              cfg, meta, sys.stdout)
+              args.format, meta, sys.stdout)
     if n_indet:
         return EXIT_INDETERMINATE
     if n_bad:
@@ -355,7 +336,7 @@ def _cmd_sweep(args: argparse.Namespace, cfg: RunConfig, parser: _Parser) -> int
     return EXIT_OK
 
 
-def _cmd_find_n(args: argparse.Namespace, cfg: RunConfig, parser: _Parser) -> int:
+def _cmd_find_n(args: argparse.Namespace, parser: _Parser) -> int:
     if args.d < 1:
         parser.error(f"degree must be >= 1, got {args.d}")
     if args.max < 0:
@@ -367,9 +348,9 @@ def _cmd_find_n(args: argparse.Namespace, cfg: RunConfig, parser: _Parser) -> in
         "last_failing": "" if result.last_failing is None else str(result.last_failing),
         "n_max": str(args.max),
     }]
-    meta = {"command": "find-n", "prec_bits": cfg.precision_bits,
+    meta = {"command": "find-n", "prec_bits": args.prec,
             "version": __version__}
-    _emit(rows, ["d", "N", "last_failing", "n_max"], cfg, meta, sys.stdout)
+    _emit(rows, ["d", "N", "last_failing", "n_max"], args.format, meta, sys.stdout)
     return EXIT_OK
 
 
@@ -377,7 +358,7 @@ _D4_CHECK_NAMES = ("beta3_in_band", "beta1_in_band", "beta4_in_band",
                    "beta2_in_band", "beta0_in_band")
 
 
-def _cmd_effective(args: argparse.Namespace, cfg: RunConfig, parser: _Parser) -> int:
+def _cmd_effective(args: argparse.Namespace, parser: _Parser) -> int:
     n_values = _parse_range(args.n_range, "shift", parser)
     valid = [n for n in n_values if n >= 100]
     dropped = [n for n in n_values if n < 100]
@@ -389,9 +370,9 @@ def _cmd_effective(args: argparse.Namespace, cfg: RunConfig, parser: _Parser) ->
         )
     if n_values and not valid:
         parser.error("no shifts >= 100 in range (template is stated for n >= 100)")
-    seq = _provider_for(cfg, "zeta")
-    _warm_jensen(seq, [4], valid, cfg.precision_bits, cfg.parallelism)
-    report = effective_check_d4(valid, seq=seq, prec=cfg.precision_bits)
+    seq = _provider_for("zeta", args.cache_dir)
+    _warm_jensen(seq, [4], valid, args.prec, args.jobs)
+    report = effective_check_d4(valid, seq=seq, prec=args.prec)
 
     rows: List[Dict[str, str]] = []
     for row in report.rows:
@@ -404,10 +385,10 @@ def _cmd_effective(args: argparse.Namespace, cfg: RunConfig, parser: _Parser) ->
         rows.append(entry)
     columns = (["n", "delta"] + [f"beta{k}" for k in range(5)]
                + list(_D4_CHECK_NAMES) + ["all_hold"])
-    meta = {"command": "effective", "prec_bits": cfg.precision_bits,
+    meta = {"command": "effective", "prec_bits": args.prec,
             "first_all_hold": report.first_all_hold, "version": __version__}
-    _emit(rows, columns, cfg, meta, sys.stdout)
-    if cfg.output_format == "table":
+    _emit(rows, columns, args.format, meta, sys.stdout)
+    if args.format == "table":
         print(f"first n with every inequality holding: {report.first_all_hold}")
     return EXIT_OK
 
@@ -415,19 +396,19 @@ def _cmd_effective(args: argparse.Namespace, cfg: RunConfig, parser: _Parser) ->
 _TABLE_GROUPS = ("gamma", "partition-jensen", "zeta-jensen", "zeta-jensen-6", "nd")
 
 
-def _cmd_tables(args: argparse.Namespace, cfg: RunConfig, parser: _Parser) -> int:
+def _cmd_tables(args: argparse.Namespace, parser: _Parser) -> int:
     groups = list(_TABLE_GROUPS) if args.group == "all" else [args.group]
     rows: List[Dict[str, str]] = []
-    zeta = _provider_for(cfg, "zeta")
+    zeta = _provider_for("zeta", args.cache_dir)
     part = partition_provider()
 
     if "gamma" in groups:
         ns = [10, 100, 1000]
-        _warm_gamma(zeta.cache, ns, cfg.precision_bits, cfg.parallelism)
+        _warm_gamma(zeta.cache, ns, args.prec, args.jobs)
         for n in ns:
-            g = zeta.value_at(n, cfg.precision_bits).value
-            gh = gamma_hat(n, cfg.precision_bits).value.value
-            with workprec(cfg.precision_bits):
+            g = zeta.value_at(n, args.prec).value
+            gh = gamma_hat(n, args.prec).value.value
+            with workprec(args.prec):
                 ratio = g / gh
             rows.append({
                 "group": "gamma", "n": str(n), "d": "", "entry": "",
@@ -442,11 +423,11 @@ def _cmd_tables(args: argparse.Namespace, cfg: RunConfig, parser: _Parser) -> in
     ) if group in groups]
     # One warm-up for every zeta degree asked for computes each value once.
     _warm_jensen(zeta, [d for _, seq, ds in jensen_groups if seq is zeta for d in ds],
-                 shifts, cfg.precision_bits, cfg.parallelism)
+                 shifts, args.prec, args.jobs)
     for group, seq, ds in jensen_groups:
         for d in ds:
             for n in shifts:
-                poly = renormalize(seq, d, n, cfg.precision_bits)
+                poly = renormalize(seq, d, n, args.prec)
                 rows.append({
                     "group": group, "n": str(n), "d": str(d), "entry": "",
                     "value": _poly_str(_renormalized_strs(poly), poly.degree),
@@ -462,17 +443,17 @@ def _cmd_tables(args: argparse.Namespace, cfg: RunConfig, parser: _Parser) -> in
             })
 
     meta = {"command": "tables", "groups": groups,
-            "prec_bits": cfg.precision_bits, "version": __version__}
-    _emit(rows, ["group", "n", "d", "entry", "value"], cfg, meta, sys.stdout)
+            "prec_bits": args.prec, "version": __version__}
+    _emit(rows, ["group", "n", "d", "entry", "value"], args.format, meta, sys.stdout)
     return EXIT_OK
 
 
-def _cmd_cache(args: argparse.Namespace, cfg: RunConfig, parser: _Parser) -> int:
-    if cfg.cache_dir is None:
+def _cmd_cache(args: argparse.Namespace, parser: _Parser) -> int:
+    if args.cache_dir is None:
         parser.error(
             f"no cache directory set (use --cache-dir or ${ENV_CACHE_DIR})"
         )
-    cache = GammaCache(cfg.cache_dir)
+    cache = GammaCache(args.cache_dir)
     if args.action == "clear":
         n_before = len(cache.entries())
         cache.clear()
@@ -487,8 +468,8 @@ def _cmd_cache(args: argparse.Namespace, cfg: RunConfig, parser: _Parser) -> int
     ]
     meta = {"command": "cache", "path": str(cache.path),
             "records": len(entries), "version": __version__}
-    _emit(rows, ["n", "prec_bits", "src", "value"], cfg, meta, sys.stdout)
-    if cfg.output_format == "table":
+    _emit(rows, ["n", "prec_bits", "src", "value"], args.format, meta, sys.stdout)
+    if args.format == "table":
         print(f"{len(entries)} record(s) in {cache.path}")
     return EXIT_OK
 
@@ -570,24 +551,18 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _resolve_config(args: argparse.Namespace, parser: _Parser) -> RunConfig:
-    try:
-        return RunConfig(precision_bits=args.prec, cache_dir=args.cache_dir,
-                         output_format=args.format, parallelism=args.jobs)
-    except ValueError as exc:
-        parser.error(str(exc))
-        raise AssertionError("unreachable")
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "command", None) is None:
         parser.print_help(sys.stderr)
         return EXIT_USAGE
-    cfg = _resolve_config(args, parser)
+    if args.prec < MIN_PREC:
+        parser.error(f"precision must be >= {MIN_PREC} bits")
+    if args.jobs < 1:
+        parser.error("parallelism must be >= 1")
     try:
-        return args.func(args, cfg, parser)
+        return args.func(args, parser)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -269,10 +269,7 @@ def renormalize(seq: SequenceProvider, d: int, n: int, prec: int = 192) -> Poly:
     with workprec(wp):
         a_val = params.A_of_n(n, wp)
         delta = params.delta_of_n(n, wp)
-        if seq.exact_at is not None:
-            alpha = [mpf(seq.exact_at(n + j)) for j in range(d + 1)]
-        else:
-            alpha = [seq.value_at(n + j, wp).value for j in range(d + 1)]
+        alpha = [seq.value_at(n + j, wp).value for j in range(d + 1)]
         e_neg_a = mpmath.exp(-a_val)
         # J((delta X - 1)/e^A) = sum_j c_j e^{-Aj} (delta X - 1)^j with
         # c_j = binom(d,j) alpha(n+j); expand (delta X - 1)^j binomially.

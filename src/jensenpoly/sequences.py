@@ -105,6 +105,8 @@ def decimal_mantissa(x: mpf, digits: int, mode: str = "round") -> Tuple[str, str
     """
     if digits < 1:
         raise ValueError(f"digits must be >= 1, got {digits}")
+    if mode not in ("round", "trunc"):
+        raise ValueError(f"mode must be 'round' or 'trunc', got {mode!r}")
     if x == 0:
         return "+", "0", 0
     if hasattr(x, "_mpf_"):
@@ -121,8 +123,6 @@ def decimal_mantissa(x: mpf, digits: int, mode: str = "round") -> Tuple[str, str
     sign_bit, man, exp, bc = tup
     man = int(man)  # gmpy2 mpz -> int for uniform bigint arithmetic
     sign = "-" if sign_bit else "+"
-    if mode not in ("round", "trunc"):
-        raise ValueError(f"mode must be 'round' or 'trunc', got {mode!r}")
     div = _round_div if mode == "round" else _trunc_div
     # x = man * 2^exp with man in [2^(bc-1), 2^bc); choose k with
     # man * 2^exp * 10^k in [10^(digits-1), 10^digits).

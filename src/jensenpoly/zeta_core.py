@@ -185,18 +185,10 @@ def _saddle_log(n: Number, prec: int) -> mpf:
 
 
 def _make_integrand(n: Number, wp: int):
-    """Return g(u) = u^n e^(u/4) theta0(e^u) evaluated at working precision."""
-    n_int = int(n) if (isinstance(n, int) or float(n).is_integer()) else None
-    n_mp = mpf(n)
+    """Return g(u) = u^n e^(u/4) theta0(e^u) for an exponent from _normalize_exponent."""
 
     def g(u: mpf) -> mpf:
-        if u <= 0:
-            # u^n -> 0 for n > 0; for n == 0 the limit is theta0(1).
-            if n_int == 0 or n_mp == 0:
-                return _theta0_raw(mpf(1), wp) * mpmath.exp(u / 4) if u == 0 else mpf(0)
-            return mpf(0)
-        power = u ** n_int if n_int is not None else u ** n_mp
-        return power * mpmath.exp(u / 4) * _theta0_raw(mpmath.exp(u), wp)
+        return u ** n * mpmath.exp(u / 4) * _theta0_raw(mpmath.exp(u), wp)
 
     return g
 

@@ -168,11 +168,11 @@ class TestBesselI:
     @pytest.mark.parametrize(
         "kappa,x",
         [
-            (mpf("0.5"), mpf("2.5")),     # series branch
-            (mpf("-0.5"), mpf("7")),      # series branch, negative order
+            (mpf("0.5"), mpf("2.5")),     # small argument
+            (mpf("-0.5"), mpf("7")),      # small argument, negative order
             (3, mpf("0.03")),             # tiny argument
-            (mpf("1.75"), mpf("120")),    # asymptotic branch
-            (0, mpf("700")),              # deep asymptotic branch
+            (mpf("1.75"), mpf("120")),    # large argument
+            (0, mpf("700")),              # very large argument
         ],
     )
     def test_against_library_oracle(self, kappa, x):
@@ -180,6 +180,12 @@ class TestBesselI:
         with workprec(260):
             ref = mpmath.besseli(mpf(kappa), mpf(x))
         assert rel_close(mine, ref, 150)
+
+    @pytest.mark.parametrize("m,x,prec", [(7, mpf("1e-30"), 64), (3, mpf("1e-30"), 512)])
+    def test_negative_integer_order_is_reflected(self, m, x, prec):
+        # I_(-m) = I_m; summed around the Gamma poles at tiny x, mpmath's
+        # besseli fails to converge (m=7) or takes tens of seconds (m=3).
+        assert bessel_I(-m, x, prec).value == bessel_I(m, x, prec).value
 
     def test_domain(self):
         with pytest.raises(DomainError):

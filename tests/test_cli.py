@@ -258,6 +258,19 @@ class TestUsage:
     def test_bad_jobs(self):
         assert run("gamma", "5", "--exact", "--jobs", "0").returncode == 3
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--prec", "32", "precision must be >= 64 bits"),
+        ("--jobs", "0", "parallelism must be >= 1"),
+    ])
+    @pytest.mark.parametrize("before", [True, False])
+    def test_global_flag_floor_message(self, flag, value, message, before):
+        command = ["gamma", "5", "--exact"]
+        argv = [flag, value] + command if before else command + [flag, value]
+        res = run(*argv)
+        assert res.returncode == 3
+        assert res.stdout == ""
+        assert res.stderr.splitlines()[-1] == f"jensenpoly: error: {message}"
+
     def test_bad_range_syntax(self):
         assert run("sweep", "partition", "2", "10..x").returncode == 3
 

@@ -92,6 +92,11 @@ class TestDecimalCodec:
         _, digits, exp10 = decimal_mantissa(x, 5, mode="trunc")
         assert digits == "20199"
 
+    @pytest.mark.parametrize("x", [mpf(0), mpf(3), 0, 0.0])
+    def test_unknown_mode_rejected_for_zero_too(self, x):
+        with pytest.raises(ValueError, match="mode must be"):
+            decimal_mantissa(x, 5, mode="bogus")
+
 
 class TestRecordFormat:
     def test_render_shape(self):

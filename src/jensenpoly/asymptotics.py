@@ -486,7 +486,6 @@ class AsymParams:
     the smallest shift at which delta(n) is real and positive.
     """
 
-    family: str
     A_of_n: Callable[[int, int], mpf]
     delta_of_n: Callable[[int, int], mpf]
     n_min: int
@@ -495,7 +494,6 @@ class AsymParams:
 def zeta_params() -> AsymParams:
     """Growth parameters for the zeta Taylor-coefficient sequence (n >= 7)."""
     return AsymParams(
-        family="zeta",
         A_of_n=lambda n, prec: _zeta_A_delta_raw(n, prec)[0],
         delta_of_n=lambda n, prec: _zeta_A_delta_raw(n, prec)[1],
         n_min=7,
@@ -528,7 +526,6 @@ def modular_params(m, weight, order: int = 1) -> AsymParams:
             "partition parameters m=1/24, weight=-1/2"
         )
     return AsymParams(
-        family=f"modular(m={m_frac}, k={w_frac}, order={order})",
         A_of_n=lambda n, prec: _modular_A_delta_raw(n, m_frac, w_frac, order, prec)[0],
         delta_of_n=lambda n, prec: _modular_A_delta_raw(n, m_frac, w_frac, order, prec)[1],
         n_min=3 if order == 2 else 1,

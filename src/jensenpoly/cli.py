@@ -258,11 +258,9 @@ def _cmd_jensen(args: argparse.Namespace, parser: _Parser) -> int:
     if n < 0:
         parser.error(f"shift must be >= 0, got {n}")
     if args.renormalized:
-        if seq.params is None or n < seq.params.n_min:
-            parser.error(
-                f"renormalization for {args.seq} needs n >= "
-                f"{seq.params.n_min if seq.params else '?'}, got {n}"
-            )
+        if n < seq.params.n_min:
+            parser.error(f"renormalization for {args.seq} needs n >= "
+                         f"{seq.params.n_min}, got {n}")
         poly = renormalize(seq, d, n, args.prec)
         coeff_strs = _renormalized_strs(poly)
         kindrow = "renormalized"

@@ -178,8 +178,8 @@ def jensen_poly(
 ) -> Union[Poly, RationalPoly]:
     """J^{d,n}(X) = sum_{j=0}^{d} binom(d,j) alpha(n+j) X^j.
 
-    Returns a :class:`RationalPoly` when the sequence has an exact-integer
-    path, otherwise a :class:`Poly` at ``prec`` bits (default 192).
+    Returns a :class:`RationalPoly` when the sequence has exact rational
+    values, otherwise a :class:`Poly` at ``prec`` bits (default 192).
     """
     if d < 1:
         raise DomainError(f"jensen_poly requires degree d >= 1, got {d}")

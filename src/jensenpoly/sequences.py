@@ -2,14 +2,15 @@
 
 This module gives every sequence the suite studies a uniform face —
 ``SequenceProvider`` — carrying a positive-value accessor at arbitrary
-precision, an optional exact-integer fast path, and the growth parameters
-(A(n), delta(n)) used by the renormalization step:
+precision, the exact rational value when there is one, and the growth
+parameters (A(n), delta(n)) used by the renormalization step:
 
 * ``zeta_gamma_provider``: Taylor coefficients of the completed zeta
   function, backed by a decimal value cache (they are expensive), on disk
   or in memory.
 * ``partition_provider``: exact p(n) via Euler's pentagonal recurrence.
-* ``load_sequence``: user-supplied (n, value) files in CSV or JSON.
+* ``load_sequence``: user-supplied (n, value) files in CSV or JSON, held as
+  exact rationals.
 
 The cache is a line-oriented text file, one record per line:
 
@@ -32,6 +33,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import mpmath
 from mpmath import mpf, workprec
+from mpmath.libmp import from_rational, round_nearest
 
 from .asymptotics import AsymParams, partition_params, zeta_params
 from .zeta_core import MIN_PREC, BigReal, DomainError, gamma_exact
@@ -145,21 +147,14 @@ def decimal_mantissa(x: mpf, digits: int, mode: str = "round") -> Tuple[str, str
     raise ArithmeticError(f"decimal rendering did not settle for {x!r}")
 
 
-def _parse_decimal(sign: str, mantissa: str, exp10: int, prec: int) -> mpf:
-    """Parse the codec triple back to an mpf at ``prec`` bits (correctly rounded)."""
-    with workprec(prec):
-        return +mpmath.mpf(f"{sign}{mantissa}e{exp10}")
-
-
 # ---------------------------------------------------------------------------
 # Cache records
 # ---------------------------------------------------------------------------
 
 _SOURCES = ("exact",)
 
-_RECORD_RE = re.compile(
-    r"^n=(\d+) prec=(\d+) src=([a-z_]+) val=([+-])(\d+)e(-?\d+)$"
-)
+_DECIMAL = r"[+-]\d+e-?\d+"
+_RECORD_RE = re.compile(rf"^n=(\d+) prec=(\d+) src=([a-z_]+) val=({_DECIMAL})$")
 
 
 @dataclass(frozen=True)
@@ -180,14 +175,13 @@ class CacheRecord:
             )
         if self.source not in _SOURCES:
             raise ValueError(f"CacheRecord.source must be one of {_SOURCES}")
-        if not re.match(r"^[+-]\d+e-?\d+$", self.decimal_value):
+        if not re.fullmatch(_DECIMAL, self.decimal_value):
             raise ValueError(f"malformed decimal_value {self.decimal_value!r}")
 
     def to_mpf(self, prec: Optional[int] = None) -> mpf:
-        m = re.match(r"^([+-])(\d+)e(-?\d+)$", self.decimal_value)
-        assert m is not None  # guarded by __post_init__
-        return _parse_decimal(m.group(1), m.group(2), int(m.group(3)),
-                              prec if prec is not None else self.prec_bits)
+        """The stored decimal at ``prec`` bits (default: its own precision)."""
+        with workprec(prec if prec is not None else self.prec_bits):
+            return mpf(self.decimal_value)
 
     @staticmethod
     def from_value(n: int, value: mpf, prec_bits: int, source: str) -> "CacheRecord":
@@ -209,10 +203,9 @@ def parse_record(line: str, path: str = "<memory>", lineno: int = 0) -> CacheRec
         raise CacheFormatError(
             f"{path}:{lineno}: unparseable cache record: {line.rstrip()!r}"
         )
-    n, prec, src = int(m.group(1)), int(m.group(2)), m.group(3)
-    val = f"{m.group(4)}{m.group(5)}e{m.group(6)}"
     try:
-        return CacheRecord(n=n, prec_bits=prec, source=src, decimal_value=val)
+        return CacheRecord(n=int(m.group(1)), prec_bits=int(m.group(2)),
+                           source=m.group(3), decimal_value=m.group(4))
     except ValueError as exc:
         raise CacheFormatError(f"{path}:{lineno}: {exc}") from exc
 
@@ -362,15 +355,16 @@ class SequenceProvider:
     """Uniform accessor for a positive sequence plus its growth parameters.
 
     ``value_at(n, prec)`` returns the value as a BigReal; ``exact_at`` (when
-    present) returns the exact integer and enables the exact-rational
-    certification path.  ``params`` carries the (A, delta) formulas used by
-    renormalization, or None when unknown (user files without parameters).
+    present) returns the exact rational value (an int or a Fraction) and
+    enables the exact-rational certification path.  ``params`` carries the
+    (A, delta) formulas used by renormalization, or None when unknown (user
+    files without parameters).
     ``cache`` is the value cache behind ``value_at``, when there is one.
     """
 
     kind: str  # zeta_gamma | partition | user_file
     value_at: Callable[[int, int], BigReal]
-    exact_at: Optional[Callable[[int], int]]
+    exact_at: Optional[Callable[[int], Union[int, Fraction]]]
     params: Optional[AsymParams]
     label: str
     cache: Optional[GammaCache] = None
@@ -414,16 +408,18 @@ def partition(n: int) -> int:
         return _PARTITIONS[n]
 
 
-def _int_to_bigreal(value: int, prec: int) -> BigReal:
+def _rounded(q: Union[int, Fraction], prec: int) -> BigReal:
+    """The exact rational ``q`` rounded once, to nearest, at ``prec`` bits."""
     with workprec(prec):
-        return BigReal(+mpf(value), prec)
+        value = mpf(from_rational(q.numerator, q.denominator, prec, round_nearest))
+    return BigReal(value, prec)
 
 
 def partition_provider() -> SequenceProvider:
     """Provider for p(n): exact integers plus the two-term growth parameters."""
     return SequenceProvider(
         kind="partition",
-        value_at=lambda n, prec: _int_to_bigreal(partition(n), prec),
+        value_at=lambda n, prec: _rounded(partition(n), prec),
         exact_at=partition,
         params=partition_params(),
         label="partition",
@@ -512,8 +508,10 @@ def load_sequence(
     """Load a positive sequence from a file of (n, value) records.
 
     Indices must be contiguous from the smallest supplied n; every value must
-    be positive.  ``params`` (growth data for renormalization) may be supplied
-    by the caller, e.g. from :func:`jensenpoly.asymptotics.modular_params`.
+    be positive.  Each value is parsed once into an exact rational, which
+    ``exact_at`` returns.  ``params`` (growth data for renormalization) may
+    be supplied by the caller, e.g. from
+    :func:`jensenpoly.asymptotics.modular_params`.
     """
     p = Path(path)
     if fmt == "csv":
@@ -527,43 +525,30 @@ def load_sequence(
 
     pairs.sort(key=lambda t: t[0])
     n0 = pairs[0][0]
-    values: Dict[int, str] = {}
+    values: Dict[int, Fraction] = {}
     for offset, (n, text) in enumerate(pairs):
         if n != n0 + offset:
             raise SequenceDataError(
                 f"{p}: index gap — expected n={n0 + offset}, found n={n}"
             )
         try:
-            frac = Fraction(text)
+            values[n] = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise SequenceDataError(f"{p}: unparseable value at n={n}: {text!r}") from exc
-        if frac <= 0:
+        if values[n] <= 0:
             raise SequenceDataError(
                 f"{p}: non-positive value at n={n}: {text} (sequence must be positive)"
             )
-        values[n] = text
     n_hi = n0 + len(pairs) - 1
 
-    all_int = all(Fraction(t).denominator == 1 for t in values.values())
-    exact_at: Optional[Callable[[int], int]] = None
-    if all_int:
-        ints = {n: int(Fraction(t)) for n, t in values.items()}
-
-        def exact_at(n: int) -> int:
-            if n not in ints:
-                raise DomainError(f"sequence defined on [{n0}, {n_hi}], got n={n}")
-            return ints[n]
-
-    def value_at(n: int, prec: int) -> BigReal:
+    def exact_at(n: int) -> Fraction:
         if n not in values:
             raise DomainError(f"sequence defined on [{n0}, {n_hi}], got n={n}")
-        with workprec(prec):
-            frac = Fraction(values[n])
-            return BigReal(mpf(frac.numerator) / frac.denominator, prec)
+        return values[n]
 
     return SequenceProvider(
         kind="user_file",
-        value_at=value_at,
+        value_at=lambda n, prec: _rounded(exact_at(n), prec),
         exact_at=exact_at,
         params=params,
         label=p.name,

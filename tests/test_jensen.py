@@ -334,24 +334,44 @@ class TestFindN:
         with pytest.raises(DomainError):
             find_N(partition_seq, 0, 10)
 
+    @staticmethod
+    def _file_sequence(tmp_path, values):
+        path = tmp_path / "seq.csv"
+        path.write_text("".join(f"{n},{v}\n" for n, v in enumerate(values)))
+        return load_sequence(path)
+
+    def test_rational_file_takes_exact_path(self, tmp_path):
+        # p(n)/3 written as fractions: exactly rational, so every shift is
+        # decided by the exact Hankel minors.
+        seq = self._file_sequence(tmp_path, [f"{partition(n)}/3" for n in range(203)])
+        assert seq.exact_at(30) == Fraction(partition(30), 3)
+        assert certify(seq, 2, 30).method == "hermite_hankel_exact"
+        assert find_N(seq, 2, 200) == 25
+
+    def test_rational_double_root_decided_exactly(self, tmp_path):
+        # J^{2,n} of the constant 0.5 is 0.5 (1+X)^2: its vanishing Hankel
+        # minor is settled by the Sturm count of the squarefree part.
+        seq = self._file_sequence(tmp_path, ["0.5"] * 30)
+        cert = certify(seq, 2, 3)
+        assert (cert.verdict, cert.method) == ("hyperbolic", "sturm")
+        assert find_N(seq, 2, 5) == 0
+
     def test_raw_ladder_path_matches_exact(self, tmp_path):
-        # p(n)/3 written as fractions: not integer-valued and no growth
+        # p(n)/3 behind value_at alone: no exact values and no growth
         # parameters, so every shift takes the raw-polynomial ladder.
-        path = tmp_path / "p_over_3.csv"
-        path.write_text("".join(f"{n},{partition(n)}/3\n" for n in range(203)))
-        seq = load_sequence(path)
+        seq = dataclasses.replace(
+            self._file_sequence(tmp_path, [f"{partition(n)}/3" for n in range(203)]),
+            exact_at=None)
         assert seq.exact_at is None and seq.params is None
         cert = certify(seq, 2, 30)
         assert (cert.verdict, cert.method) == ("hyperbolic", "hermite_hankel_interval")
         assert find_N(seq, 2, 200) == 25
 
     def test_indeterminate_after_full_ladder(self, tmp_path):
-        # The constant 0.5 is not integer-valued and has no growth
-        # parameters; its J^{2,n} = 0.5 (1+X)^2 has a double root, which
-        # no rung can decide.
-        path = tmp_path / "half.csv"
-        path.write_text("".join(f"{n},0.5\n" for n in range(30)))
-        seq = load_sequence(path)
+        # The constant 0.5 behind value_at alone: its J^{2,n} = 0.5 (1+X)^2
+        # has a double root, which no rung can decide.
+        seq = dataclasses.replace(self._file_sequence(tmp_path, ["0.5"] * 30),
+                                  exact_at=None)
         assert seq.exact_at is None and seq.params is None
         cert = certify(seq, 2, 3)
         assert (cert.verdict, cert.method) == ("indeterminate", "hermite_hankel_interval")

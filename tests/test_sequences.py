@@ -2,9 +2,11 @@
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from mpmath import mpf, workprec
+from mpmath.libmp import from_rational, round_nearest
 
 from jensenpoly.asymptotics import partition_params
 from jensenpoly.sequences import (
@@ -232,8 +234,16 @@ class TestLoadSequence:
         path = tmp_path / "seq.json"
         path.write_text(json.dumps([[0, 2], [1, "5/2"], [2, 4]]))
         seq = load_sequence(path, fmt="json")
-        assert seq.exact_at is None  # 5/2 is not an integer
+        assert seq.exact_at(1) == Fraction(5, 2)
         assert seq.value_at(1, 96).value == mpf("2.5")
+
+    def test_value_rounded_once(self, tmp_path):
+        # The numerator is wider than 64 bits, so rounding it before the
+        # division would round twice.
+        path = self._write_csv(tmp_path, [(0, "703868111321312405673397568678/5")])
+        seq = load_sequence(path)
+        assert seq.value_at(0, 64).value._mpf_ == from_rational(
+            703868111321312405673397568678, 5, 64, round_nearest)
 
     def test_gap_rejected(self, tmp_path):
         path = self._write_csv(tmp_path, [(0, 1), (2, 2)])

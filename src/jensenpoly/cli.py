@@ -13,7 +13,8 @@ cache      inspect or clear the persistent value cache
 Global flags (accepted before or after the subcommand; the later wins):
 ``--prec <bits>``, ``--format table|csv|json``, ``--cache-dir <path>``,
 ``--jobs <k>``.  The cache directory may also come from the environment
-variable ``JENSENPOLY_CACHE_DIR``.
+variable ``JENSENPOLY_CACHE_DIR``.  ``--jobs`` is checked (k >= 1) but changes
+nothing: every value is computed in this one process.
 
 Exit codes: 0 success / all certified hyperbolic; 1 counterexample found;
 2 indeterminate or precision failure; 3 usage error or unreadable cache.
@@ -27,7 +28,7 @@ import io
 import json
 import os
 import sys
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import mpmath
 from mpmath import mpf, workprec
@@ -47,18 +48,12 @@ from .jensen import (
 from .sequences import (
     CacheError,
     CacheFormatError,
-    CacheRecord,
     GammaCache,
     decimal_mantissa,
     partition_provider,
     zeta_gamma_provider,
 )
-from .zeta_core import (
-    MIN_PREC,
-    DomainError,
-    PrecisionFailure,
-    gamma_exact,
-)
+from .zeta_core import MIN_PREC, DomainError, PrecisionFailure
 
 __all__ = ["main"]
 
@@ -171,36 +166,16 @@ def _parse_range(text: str, what: str, parser: _Parser) -> List[int]:
 
 
 # ---------------------------------------------------------------------------
-# gamma warm-up (the only parallel phase; parent is the single cache writer)
+# gamma warm-up
 # ---------------------------------------------------------------------------
 
 
-def _gamma_worker(task: Tuple[int, int]) -> CacheRecord:
-    n, prec = task
-    return CacheRecord.from_value(n, gamma_exact(n, prec).value.value, prec, "exact")
-
-
-def _warm_gamma(cache: GammaCache, ns: Iterable[int], prec: int, jobs: int) -> None:
-    """Store gamma(n) at ``prec`` bits, in n order, for each n in ``ns`` not cached."""
-    tasks = [(n, prec) for n in sorted(set(ns)) if cache.get(n, prec) is None]
-    workers = min(jobs, len(tasks))
-    if workers > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(processes=workers) as pool:
-            records = pool.map(_gamma_worker, tasks)
-    else:
-        records = map(_gamma_worker, tasks)
-    for rec in records:
-        cache.put(rec)
-
-
-def _warm_jensen(seq, ds: List[int], ns: List[int], prec: int, jobs: int) -> None:
+def _warm_jensen(seq, ds: List[int], ns: List[int], prec: int) -> None:
     """Store the values J^{d,n} reads on rung ``prec``, for d in ``ds``, n in ``ns``."""
     if seq.exact_at is None and ds and ns:
         warm_prec = max(read_prec(seq, d, n, prec) for n in ns for d in ds)
-        _warm_gamma(seq.cache, [n + j for n in ns for j in range(max(ds) + 1)],
-                    warm_prec, jobs)
+        for m in sorted({n + j for n in ns for j in range(max(ds) + 1)}):
+            seq.value_at(m, warm_prec)
 
 
 def _provider_for(name: str, cache_dir: Optional[str]):
@@ -223,8 +198,6 @@ def _cmd_gamma(args: argparse.Namespace, parser: _Parser) -> int:
         if n < min_n:
             parser.error(f"gamma {mode} requires n >= {min_n}, got {n}")
     provider = _provider_for("zeta", args.cache_dir)
-    if mode != "asymptotic":
-        _warm_gamma(provider.cache, args.n, args.prec, args.jobs)
 
     rows: List[Dict[str, str]] = []
     for n in sorted(set(args.n)):
@@ -301,7 +274,7 @@ def _cmd_sweep(args: argparse.Namespace, parser: _Parser) -> int:
             parser.error(f"shifts must be >= 0, got {n}")
 
     ladder = [args.prec] + [p for p in DEFAULT_LADDER if p > args.prec]
-    _warm_jensen(seq, d_values, n_values, ladder[0], args.jobs)
+    _warm_jensen(seq, d_values, n_values, ladder[0])
 
     rows: List[Dict[str, str]] = []
     for d in d_values:
@@ -369,7 +342,7 @@ def _cmd_effective(args: argparse.Namespace, parser: _Parser) -> int:
     if n_values and not valid:
         parser.error("no shifts >= 100 in range (template is stated for n >= 100)")
     seq = _provider_for("zeta", args.cache_dir)
-    _warm_jensen(seq, [4], valid, args.prec, args.jobs)
+    _warm_jensen(seq, [4], valid, args.prec)
     report = effective_check_d4(valid, seq=seq, prec=args.prec)
 
     rows: List[Dict[str, str]] = []
@@ -401,9 +374,7 @@ def _cmd_tables(args: argparse.Namespace, parser: _Parser) -> int:
     part = partition_provider()
 
     if "gamma" in groups:
-        ns = [10, 100, 1000]
-        _warm_gamma(zeta.cache, ns, args.prec, args.jobs)
-        for n in ns:
+        for n in (10, 100, 1000):
             g = zeta.value_at(n, args.prec).value
             gh = gamma_hat(n, args.prec).value.value
             with workprec(args.prec):
@@ -421,7 +392,7 @@ def _cmd_tables(args: argparse.Namespace, parser: _Parser) -> int:
     ) if group in groups]
     # One warm-up for every zeta degree asked for computes each value once.
     _warm_jensen(zeta, [d for _, seq, ds in jensen_groups if seq is zeta for d in ds],
-                 shifts, args.prec, args.jobs)
+                 shifts, args.prec)
     for group, seq, ds in jensen_groups:
         for d in ds:
             for n in shifts:
@@ -486,7 +457,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache-dir", default=argparse.SUPPRESS, metavar="PATH",
                         help=f"persistent cache directory (or ${ENV_CACHE_DIR})")
     parser.add_argument("--jobs", type=int, default=argparse.SUPPRESS, metavar="K",
-                        help="parallel workers for value computation (default 1)")
+                        help="checked but unused: values are computed in one process")
 
 
 def _build_parser() -> _Parser:

@@ -19,7 +19,7 @@ quadrature back ends share a certified peak window:
 * tanh-sinh quadrature (``mpmath.mp.quad``) on [u_lo, L, u_hi] — the general
   path, used for real n and small integers; its error estimate must stay
   below 2^-(prec+5) relative;
-* a doubling-refinement trapezoid rule on [0, u_hi] — used for integer
+* a doubling-refinement trapezoid rule on [u_lo, u_hi] — used for integer
   n >= 64, where periodic-grade convergence makes it 5-10x faster; two
   successive refinements must agree to 2^-(prec+5) relative.
 
@@ -131,6 +131,8 @@ def _require_prec(prec: int) -> None:
 def _theta0_raw(t: mpf, prec: int) -> mpf:
     """Sum exp(-pi k^2 t) for k >= 1 with relative truncation error 2^-(prec+15).
 
+    One exp per call: with q = exp(-pi t), each term q^(k^2) is the previous
+    one times q^(2k+1), a step that grows by q^2 from one term to the next.
     The cutoff is taken *relative to the leading term*: terms are added while
     pi (k^2 - 1) t <= (prec + 16) ln 2, so that the discarded tail is below
     2 e^(-pi t) 2^-(prec+16) — a relative bound that stays valid when
@@ -138,12 +140,16 @@ def _theta0_raw(t: mpf, prec: int) -> mpf:
     """
     with workprec(prec + 10):
         t = mpf(t)
-        first = mpmath.exp(-mpmath.pi * t)
-        total = first
+        q = mpmath.exp(-mpmath.pi * t)
+        q2 = q * q
+        total = term = q
+        step = q * q2  # q^(2k+1) at k = 1
         cut = mpf(prec + 16) * _LN2_FLOAT
         k = 2
         while mpmath.pi * (k * k - 1) * t <= cut:
-            total += mpmath.exp(-mpmath.pi * (k * k) * t)
+            term *= step
+            step *= q2
+            total += term
             k += 1
         return +total
 
@@ -240,12 +246,14 @@ def _F_tanh_sinh(n: Number, prec: int) -> mpf:
 
 
 def _F_trapezoid(n: int, prec: int) -> mpf:
-    """Fast-path F(n) for integer n >= 64: doubling trapezoid on [0, u_hi].
+    """Fast-path F(n) for integer n >= 64: doubling trapezoid on [u_lo, u_hi].
 
-    The integrand vanishes to order n at 0 and decays doubly-exponentially at
-    the right cutoff, so for large n the trapezoid converges spectrally; each
-    doubling halves h and only the new midpoints are evaluated.  Acceptance
-    requires two successive refinements to agree to 2^-(prec+5) relative.
+    The integrand rises monotonically to its peak, so the mass left of the
+    window is at most u_lo 2^-(prec+30) peak; it decays doubly-exponentially
+    past u_hi.  Being that flat at both ends, the trapezoid converges
+    spectrally; each doubling halves h and only the new midpoints are
+    evaluated.  Acceptance requires two successive refinements to agree to
+    2^-(prec+5) relative.
     """
     wp = prec + 40
     with workprec(wp):
@@ -255,12 +263,12 @@ def _F_trapezoid(n: int, prec: int) -> mpf:
         eps = 1 / u_peak
         c_curv = (eps + eps * eps) * n - mpf(3) / 4
         sigma = u_peak / mpmath.sqrt(c_curv)
-        n0 = max(16, int(u_hi / (sigma / 3)) + 1)
+        n0 = max(16, int((u_hi - u_lo) / (sigma / 3)) + 1)
 
-        h = u_hi / n0
-        total = (g(mpf(0)) + g(u_hi)) / 2
+        h = (u_hi - u_lo) / n0
+        total = (g(u_lo) + g(u_hi)) / 2
         for i in range(1, n0):
-            total += g(i * h)
+            total += g(u_lo + i * h)
         estimate = total * h
 
         tol = mpf(2) ** (-(prec + 5))
@@ -268,7 +276,7 @@ def _F_trapezoid(n: int, prec: int) -> mpf:
             mids = mpf(0)
             m = n0  # number of new midpoints at this level
             for i in range(m):
-                mids += g((i + mpf(1) / 2) * h)
+                mids += g(u_lo + (i + mpf(1) / 2) * h)
             h /= 2
             n0 *= 2
             total += mids

@@ -54,6 +54,19 @@ class TestGammaCommand:
         assert before.returncode == after.returncode == 0
         assert before.stdout == after.stdout
 
+    def test_jobs_starts_no_process(self, monkeypatch, capsys):
+        import multiprocessing
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("--jobs must not start a process pool")
+
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        command = ["gamma", "7", "8", "--exact"]
+        assert cli.main(command + ["--jobs", "2"]) == 0
+        two = capsys.readouterr().out
+        assert cli.main(command + ["--jobs", "1"]) == 0
+        assert capsys.readouterr().out == two
+
     def test_flags_before_subcommand_kept(self, tmp_path):
         res = run("--format", "csv", "--cache-dir", str(tmp_path), "--prec", "96",
                   "gamma", "7", "--exact", "--prec", "128")
@@ -115,13 +128,12 @@ class TestSweepCommand:
         from jensenpoly.jensen import read_prec
 
         computed = []
-        real = cli.gamma_exact
+        real = sequences.gamma_exact
 
         def counting(n, prec):
             computed.append(n)
             return real(n, prec)
 
-        monkeypatch.setattr(cli, "gamma_exact", counting)
         monkeypatch.setattr(sequences, "gamma_exact", counting)
         args = ["sweep", "zeta", "1..2", "100..101", "--format", "csv"]
         one, two = tmp_path / "one", tmp_path / "two"

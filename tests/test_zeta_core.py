@@ -60,6 +60,14 @@ class TestTheta0:
         val = theta0(1, 192).value
         assert rel_close(val, THETA0_AT_1, 90)
 
+    def test_closed_form_at_one(self):
+        # sum over all integers k of exp(-pi k^2) = pi^(1/4) / Gamma(3/4), checked
+        # at a precision where the term recurrence's rounding would show.
+        prec = 576
+        with workprec(prec + 64):
+            exact = (mpmath.pi ** (mpf(1) / 4) / mpmath.gamma(mpf(3) / 4) - 1) / 2
+        assert rel_close(theta0(1, prec).value, exact, prec - 16)
+
     def test_functional_equation(self):
         # 1 + 2 theta0(2) = 2^{-1/2} (1 + 2 theta0(1/2)); theta0(1/2) is a
         # frozen direct-summation oracle (the implementation needs t >= 1).
@@ -97,12 +105,12 @@ class TestFIntegral:
         riemann = float(np.sum(integrand) * du)
         assert abs(mine - riemann) / riemann < 1e-8
 
-    def test_quadrature_routes_agree(self):
-        # Dual-route check: tanh-sinh vs doubling trapezoid on the same n.
+    @pytest.mark.parametrize("m, prec", [(200, 192), (200, 512), (1000, 272)])
+    def test_quadrature_routes_agree(self, m, prec):
+        # Dual-route check: tanh-sinh vs the windowed doubling trapezoid on the same m.
         clear_f_memo()
-        prec = 192
-        a = _F_tanh_sinh(200, prec)
-        b = _F_trapezoid(200, prec)
+        a = _F_tanh_sinh(m, prec)
+        b = _F_trapezoid(m, prec)
         assert rel_close(a, b, prec - 10)
 
     def test_tanh_sinh_error_estimate_checked(self, monkeypatch):

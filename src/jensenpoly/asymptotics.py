@@ -41,6 +41,7 @@ from .zeta_core import (
     Number,
     PrecisionFailure,
     _require_prec,
+    gamma_exact,
 )
 
 __all__ = [
@@ -394,7 +395,7 @@ def C_of(
     if not isinstance(j, int) or not 1 <= j <= 8:
         raise DomainError(f"C_of requires 1 <= j <= 8, got {j!r}")
     if gamma_fn is None:
-        from .zeta_core import gamma_exact as gamma_fn  # lazy: avoids cycle
+        gamma_fn = gamma_exact
 
     wp = prec + 32
     g_n = _as_mpf(gamma_fn(n, wp))

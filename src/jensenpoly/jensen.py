@@ -38,7 +38,7 @@ import mpmath
 from mpmath import mpf, workprec
 
 from .zeta_core import MIN_PREC, BigReal, DomainError, PrecisionFailure
-from .sequences import SequenceProvider
+from .sequences import SequenceProvider, zeta_gamma_provider
 
 __all__ = [
     "ConvergenceRow",
@@ -740,8 +740,6 @@ def effective_check_d4(
         12 - 16.01 delta < beta_0 < 12
     """
     if seq is None:
-        from .sequences import zeta_gamma_provider
-
         seq = zeta_gamma_provider(None)
     if seq.params is None:
         raise DomainError(f"sequence {seq.label!r} has no growth parameters")

@@ -13,7 +13,12 @@ reduces to the classical theta-integral representation on (1, oo):
 
 After u = log t the F-integrand becomes  u^n e^(u/4) theta0(e^u),  a sharply
 peaked unimodal bump whose maximum sits near the saddle point u = L(n), the
-positive root of  n = L (pi e^L + 3/4)  (solved in :mod:`.asymptotics`).  Two
+positive root of  n = L (pi e^L + 3/4)  (solved in :mod:`.asymptotics`).  By
+linearity the two F integrals of gamma(n) merge into one, with W = 32 C(2n,2):
+
+    gamma(n) = (n!/(2n)!) int_0^oo u^(2n-2) (W - u^2) e^(u/4) theta0(e^u) du / 2^(2n-1)
+
+whose integrand is positive wherever it carries mass, so nothing cancels.  Two
 quadrature back ends share a certified peak window:
 
 * tanh-sinh quadrature (``mpmath.mp.quad``) on [u_lo, L, u_hi] — the general
@@ -33,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Tuple, Union
+from typing import Tuple, Union
 
 import mpmath
 from mpmath import mp, mpf, workprec
@@ -49,7 +54,6 @@ __all__ = [
     "lambda_deriv",
     "lambda_deriv_or_zero",
     "gamma_exact",
-    "clear_f_memo",
 ]
 
 
@@ -106,16 +110,13 @@ class BigReal:
 class GammaValue:
     """One Taylor coefficient gamma(n) with provenance.
 
-    ``source`` is ``"exact_integral"`` (quadrature of F) or ``"asymptotic"``
-    (saddle-point approximation).  ``cancel_bits`` records the exponent gap
-    swallowed by the subtraction ``32 C(2n,2) F(2n-2) - F(2n)``; the working
-    precision was escalated until at least ``value.prec_bits`` bits survive.
+    ``source`` is ``"exact_integral"`` (one quadrature of the merged, positive
+    integrand) or ``"asymptotic"`` (saddle-point approximation).
     """
 
     n: int
     value: BigReal
     source: str
-    cancel_bits: int = 0
 
 
 def _require_prec(prec: int) -> None:
@@ -174,15 +175,6 @@ def theta0(t: Number, prec: int) -> BigReal:
 # F(n) quadrature
 # ---------------------------------------------------------------------------
 
-#: process-local memo for integer-n F values: {(n, wp): mpf}
-_F_MEMO: Dict[Tuple[int, int], mpf] = {}
-
-
-def clear_f_memo() -> None:
-    """Drop the process-local F(n) memo (mainly for tests)."""
-    _F_MEMO.clear()
-
-
 def _saddle_log(n: Number, prec: int) -> mpf:
     """Positive root L of n = L (pi e^L + 3/4); lazy import breaks the cycle."""
     from .asymptotics import _solve_L_raw
@@ -190,17 +182,24 @@ def _saddle_log(n: Number, prec: int) -> mpf:
     return _solve_L_raw(n, prec)
 
 
-def _make_integrand(n: Number, wp: int):
-    """Return g(u) = u^n e^(u/4) theta0(e^u) for an exponent from _normalize_exponent."""
+def _make_integrand(n: Number, wp: int, w: int = 0):
+    """Return g(u) = u^n e^(u/4) theta0(e^u), times (w - u^2) when w is non-zero.
+
+    ``n`` comes from _normalize_exponent; e^u is e^(u/4) squared twice.
+    """
+    weight = mpf(w)
 
     def g(u: mpf) -> mpf:
-        return u ** n * mpmath.exp(u / 4) * _theta0_raw(mpmath.exp(u), wp)
+        e4 = mpmath.exp(u / 4)
+        e2 = e4 * e4
+        value = u ** n * e4 * _theta0_raw(e2 * e2, wp)
+        return value * (weight - u * u) if w else value
 
     return g
 
 
 def _peak_window(g, n: Number, wp: int, tail_bits: int) -> Tuple[mpf, mpf, mpf]:
-    """Window [u_lo, u_peak, u_hi] outside which g < 2^-tail_bits * peak."""
+    """Window [u_lo, u_peak, u_hi] outside which |g| < 2^-tail_bits * peak."""
     if mpf(n) > 0:
         u_peak = _saddle_log(n, wp)
     else:
@@ -212,7 +211,7 @@ def _peak_window(g, n: Number, wp: int, tail_bits: int) -> Tuple[mpf, mpf, mpf]:
 
     step = max(u_peak, mpf(1)) / 4
     u_hi = max(u_peak, mpf(1))
-    while g(u_hi) > target:
+    while abs(g(u_hi)) > target:
         u_hi += step
 
     if mpf(n) > 0 and u_peak > 0:
@@ -229,11 +228,12 @@ def _peak_window(g, n: Number, wp: int, tail_bits: int) -> Tuple[mpf, mpf, mpf]:
     return u_lo, u_peak, u_hi
 
 
-def _F_tanh_sinh(n: Number, prec: int) -> mpf:
-    """General-path F(n): tanh-sinh quadrature over the certified window."""
+def _F_tanh_sinh(n: Number, prec: int, w: int = 0) -> mpf:
+    """General-path F(n) (weighted by w - u^2 when w is non-zero): tanh-sinh
+    quadrature over the certified window."""
     wp = prec + 40
     with workprec(wp):
-        g = _make_integrand(n, wp)
+        g = _make_integrand(n, wp, w)
         u_lo, u_peak, u_hi = _peak_window(g, n, wp, prec + 30)
         points = [u_lo, u_peak, u_hi] if u_lo < u_peak < u_hi else [u_lo, u_hi]
         value, error = mp.quad(g, points, error=True)
@@ -245,8 +245,9 @@ def _F_tanh_sinh(n: Number, prec: int) -> mpf:
         return +value
 
 
-def _F_trapezoid(n: int, prec: int) -> mpf:
-    """Fast-path F(n) for integer n >= 64: doubling trapezoid on [u_lo, u_hi].
+def _F_trapezoid(n: int, prec: int, w: int = 0) -> mpf:
+    """Integer n >= 64: F(n), or its (w - u^2)-weighted form, by a doubling
+    trapezoid on [u_lo, u_hi].
 
     The integrand rises monotonically to its peak, so the mass left of the
     window is at most u_lo 2^-(prec+30) peak; it decays doubly-exponentially
@@ -257,7 +258,7 @@ def _F_trapezoid(n: int, prec: int) -> mpf:
     """
     wp = prec + 40
     with workprec(wp):
-        g = _make_integrand(n, wp)
+        g = _make_integrand(n, wp, w)
         u_lo, u_peak, u_hi = _peak_window(g, n, wp, prec + 30)
         # Gaussian width of the bump: sigma = L / sqrt(C), C = (e+e^2)n - 3/4.
         eps = 1 / u_peak
@@ -300,28 +301,19 @@ def _normalize_exponent(n: Number) -> Number:
     return n
 
 
-def _F_raw(n: Number, prec: int) -> mpf:
-    """Dispatch to the right quadrature; memoize integer-n results."""
+def _F_raw(n: Number, prec: int, w: int = 0) -> mpf:
+    """F(n), or the integral of its (w - u^2)-weighted integrand when w is
+    non-zero, from the quadrature that suits the exponent n."""
     n = _normalize_exponent(n)
-    key = None
-    if isinstance(n, int):
-        key = (n, prec)
-        hit = _F_MEMO.get(key)
-        if hit is not None:
-            return hit
     if isinstance(n, int) and n >= _TRAPEZOID_MIN_N:
-        value = _F_trapezoid(n, prec)
-    else:
-        value = _F_tanh_sinh(n, prec)
-    if key is not None:
-        _F_MEMO[key] = value
-    return value
+        return _F_trapezoid(n, prec, w)
+    return _F_tanh_sinh(n, prec, w)
 
 
 def F_exact(n: Number, prec: int) -> BigReal:
     """F(n) = int_1^oo (log t)^n t^(-3/4) theta0(t) dt, relative error < 2^(16-prec).
 
-    Accepts any real n >= 0 (the suite itself only exercises even integers).
+    Accepts any real n >= 0; a non-integer n always takes tanh-sinh.
     """
     _require_prec(prec)
     with workprec(prec + 16):
@@ -335,23 +327,6 @@ def F_exact(n: Number, prec: int) -> BigReal:
 # ---------------------------------------------------------------------------
 # Lambda derivatives and gamma(n)
 # ---------------------------------------------------------------------------
-
-
-def _escalate(prec: int, gap_guess: int, measure, what: str):
-    """Raise the working precision until a cancelling sum keeps ``prec`` bits.
-
-    ``measure(wp)`` runs under ``workprec(wp + 16)`` and returns the sum and
-    the exponent gap its subtraction swallowed (None if the sum vanished).
-    A gap wider than ``gap_guess`` retries with ``max(gap + 8, 2 * gap_guess)``.
-    """
-    for _attempt in range(6):
-        wp = prec + 24 + gap_guess
-        with workprec(wp + 16):
-            value, gap = measure(wp)
-        if gap is not None and gap <= gap_guess:
-            return value, gap
-        gap_guess = gap_guess * 2 if gap is None else max(gap + 8, gap_guess * 2)
-    raise PrecisionFailure(f"{what} cancellation exceeded the ladder")
 
 
 def _check_even_positive(n: int) -> None:
@@ -369,23 +344,26 @@ def lambda_deriv(n: int, prec: int) -> BigReal:
 
     Computes  -2^(n+2) n!  +  F(n) / 2^(n-1)  with the factorial part exact
     and the working precision escalated until the subtraction keeps ``prec``
-    significant bits.
+    significant bits: an exponent gap wider than the guess retries with
+    ``max(gap + 8, 2 * guess)``.
     """
     _check_even_positive(n)
     _require_prec(prec)
 
     const_term = -(1 << (n + 2)) * math.factorial(n)  # exact integer
-
-    def measure(wp: int):
-        term2 = _F_raw(n, wp) / mpf(2) ** (n - 1)
-        total = mpf(const_term) + term2
-        if total == 0:
-            return total, None
-        return total, max(mpmath.mag(term2), mpmath.mag(const_term)) - mpmath.mag(total)
-
-    total, _gap = _escalate(prec, 8, measure, f"lambda_deriv({n})")
-    with workprec(prec):
-        return BigReal(+total, prec)
+    gap_guess = 8
+    for _attempt in range(6):
+        wp = prec + 24 + gap_guess
+        with workprec(wp + 16):
+            term2 = _F_raw(n, wp) / mpf(2) ** (n - 1)
+            total = mpf(const_term) + term2
+            gap = None if total == 0 else (
+                max(mpmath.mag(term2), mpmath.mag(const_term)) - mpmath.mag(total))
+        if gap is not None and gap <= gap_guess:
+            with workprec(prec):
+                return BigReal(+total, prec)
+        gap_guess = gap_guess * 2 if gap is None else max(gap + 8, gap_guess * 2)
+    raise PrecisionFailure(f"lambda_deriv({n}) cancellation exceeded the ladder")
 
 
 def lambda_deriv_or_zero(n: int, prec: int) -> BigReal:
@@ -397,12 +375,12 @@ def lambda_deriv_or_zero(n: int, prec: int) -> BigReal:
 
 
 def gamma_exact(n: int, prec: int) -> GammaValue:
-    """Taylor coefficient gamma(n) via the stable F-only formula.
+    """Taylor coefficient gamma(n) from one quadrature of a positive integrand.
 
-    gamma(n) = (n!/(2n)!) * (32 C(2n,2) F(2n-2) - F(2n)) / 2^(2n-1); the
-    integer prefactors are exact, and the working precision is escalated
-    until the subtraction's measured exponent gap is covered with ``prec``
-    surviving bits.  The recorded gap lands in ``cancel_bits``.
+    gamma(n) = (n!/(2n)!) int_0^oo u^(2n-2) (W - u^2) e^(u/4) theta0(e^u) du
+    / 2^(2n-1) with W = 32 C(2n,2), which merges the two F integrals of
+    (n!/(2n)!) (W F(2n-2) - F(2n)) / 2^(2n-1), so nothing cancels.  W and the
+    prefactor are exact integers.
     """
     if not isinstance(n, int) or n < 1:
         raise DomainError(f"gamma_exact requires an integer n >= 1, got {n!r}")
@@ -411,20 +389,12 @@ def gamma_exact(n: int, prec: int) -> GammaValue:
     weight = 32 * math.comb(2 * n, 2)  # exact integer
     # (2n)!/n! * 2^(2n-1): exact integer denominator of the prefactor.
     denom = (math.factorial(2 * n) // math.factorial(n)) << (2 * n - 1)
-
-    def measure(wp: int):
-        term1 = weight * _F_raw(2 * n - 2, wp)
-        diff = term1 - _F_raw(2 * n, wp)
-        if diff <= 0:
-            raise PrecisionFailure(
-                f"gamma_exact({n}): positivity lost in the subtraction"
-            )
-        return diff / mpf(denom), mpmath.mag(term1) - mpmath.mag(diff)
-
-    value, gap = _escalate(prec, 4, measure, f"gamma_exact({n})")
+    # 28 guard bits for the quadrature, 16 more for the exact division.
+    integral = _F_raw(2 * n - 2, prec + 28, weight)
+    with workprec(prec + 44):
+        value = integral / mpf(denom)
     with workprec(prec):
         rounded = +value
     if rounded <= 0:
         raise PrecisionFailure(f"gamma_exact({n}) lost positivity")
-    return GammaValue(n=n, value=BigReal(rounded, prec), source="exact_integral",
-                      cancel_bits=int(gap))
+    return GammaValue(n=n, value=BigReal(rounded, prec), source="exact_integral")

@@ -14,7 +14,6 @@ from jensenpoly.zeta_core import (
     F_exact,
     GammaValue,
     PrecisionFailure,
-    clear_f_memo,
     gamma_exact,
     lambda_deriv,
     lambda_deriv_or_zero,
@@ -52,7 +51,6 @@ class TestBigReal:
         g = gamma_exact(3, 64)
         assert isinstance(g, GammaValue)
         assert g.n == 3 and g.source == "exact_integral"
-        assert g.cancel_bits >= 0
 
 
 class TestTheta0:
@@ -108,7 +106,6 @@ class TestFIntegral:
     @pytest.mark.parametrize("m, prec", [(200, 192), (200, 512), (1000, 272)])
     def test_quadrature_routes_agree(self, m, prec):
         # Dual-route check: tanh-sinh vs the windowed doubling trapezoid on the same m.
-        clear_f_memo()
         a = _F_tanh_sinh(m, prec)
         b = _F_trapezoid(m, prec)
         assert rel_close(a, b, prec - 10)
@@ -156,6 +153,60 @@ class TestGammaExact:
         lo = gamma_exact(40, 128).value.value
         hi = gamma_exact(40, 256).value.value
         assert rel_close(lo, hi, 120)
+
+    @pytest.mark.parametrize("n, guard", [(2, 64), (10, 256), (32, 512)])
+    def test_independent_taylor_series_oracle(self, n, guard):
+        # No theta integral: the Taylor series of pi^(-s/2) Gamma(s/2) zeta(s)
+        # at s = 1/2 + z.  The product cancels about log2(4^n n!/gamma(n)) bits
+        # (zeta and Gamma have poles at distance 1/2), hence the guard bits.
+        prec = 128
+        with workprec(prec + guard):
+            top, quarter, log_pi = 2 * n, mpf(1) / 4, mpmath.log(mpmath.pi)
+            zeta_c = [mpmath.zeta(mpf(1) / 2, derivative=k) / math.factorial(k)
+                      for k in range(top + 1)]
+            # log(pi^(-s/2) Gamma(s/2)) = sum_k c_k z^k
+            log_c = [-log_pi / 4 + mpmath.loggamma(quarter),
+                     (mpmath.psi(0, quarter) - log_pi) / 2]
+            log_c += [mpmath.psi(k - 1, quarter) / (2 ** k * math.factorial(k))
+                      for k in range(2, top + 1)]
+            # exp of the series: k e_k = sum_{j=1..k} j c_j e_(k-j)
+            exp_c = [mpmath.exp(log_c[0])]
+            for k in range(1, top + 1):
+                exp_c.append(sum(j * log_c[j] * exp_c[k - j]
+                                 for j in range(1, k + 1)) / k)
+            lam = [sum(exp_c[j] * zeta_c[k - j] for j in range(k + 1))
+                   for k in range(top + 1)]
+            oracle = math.factorial(n) * (4 * lam[top - 2] - lam[top])
+        assert rel_close(gamma_exact(n, prec).value.value, oracle, prec - 16)
+
+    @pytest.mark.parametrize("n", [1, 12, 33, 100])
+    def test_two_integral_formula(self, n):
+        # The paper's form (n!/(2n)!) (32 C(2n,2) F(2n-2) - F(2n)) / 2^(2n-1):
+        # n = 1 and 12 take tanh-sinh, 33 and 100 the trapezoid.
+        with workprec(224):
+            f_lo = F_exact(2 * n - 2, 224).value
+            f_hi = F_exact(2 * n, 224).value
+            ref = (32 * math.comb(2 * n, 2) * f_lo - f_hi) * math.factorial(n) \
+                / (math.factorial(2 * n) * mpf(2) ** (2 * n - 1))
+        assert rel_close(gamma_exact(n, 192).value.value, ref, 176)
+
+    def test_one_quadrature_per_value(self, monkeypatch):
+        # A precision no other test uses, so no earlier value can be reused.
+        calls = []
+
+        def recording(name):
+            rule = getattr(zeta_core, name)
+
+            def record(m, *rest):
+                calls.append((name, m))
+                return rule(m, *rest)
+            return record
+
+        for name in ("_F_tanh_sinh", "_F_trapezoid"):
+            monkeypatch.setattr(zeta_core, name, recording(name))
+        gamma_exact(12, 136)
+        gamma_exact(40, 136)
+        assert calls == [("_F_tanh_sinh", 22), ("_F_trapezoid", 78)]
 
 
 class TestLambdaDeriv:

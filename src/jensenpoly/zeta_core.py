@@ -28,6 +28,9 @@ quadrature back ends share a certified peak window:
   n >= 64, where periodic-grade convergence makes it 5-10x faster; two
   successive refinements must agree to 2^-(prec+5) relative.
 
+The integrand works on raw ``mpmath.libmp`` values with two exps per node,
+e^(u/4) and q = exp(-pi e^u), and sums theta0's series as fixed-point integers.
+
 All public operations take an explicit binary precision ``prec`` (>= 64) and
 return :class:`BigReal` / :class:`GammaValue` values that are correctly
 rounded *results of the requested precision*, independent of the working
@@ -42,6 +45,8 @@ from typing import Tuple, Union
 
 import mpmath
 from mpmath import mp, mpf, workprec
+from mpmath.libmp import (MPZ_ONE, from_int, from_man_exp, mpf_exp, mpf_mul, mpf_neg,
+                          mpf_pi, mpf_pow, mpf_shift, mpf_sub, round_nearest, to_fixed)
 
 __all__ = [
     "MIN_PREC",
@@ -59,9 +64,6 @@ __all__ = [
 
 #: Minimum accepted binary working precision for every public operation.
 MIN_PREC = 64
-
-#: ln 2, used to convert bit counts into natural-log thresholds.
-_LN2_FLOAT = 0.6931471805599453
 
 #: Trapezoid fast path kicks in for integer exponents >= this (below it the
 #: rule converges only like h^(n+2) and tanh-sinh wins).
@@ -129,46 +131,43 @@ def _require_prec(prec: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _theta0_raw(t: mpf, prec: int) -> mpf:
-    """Sum exp(-pi k^2 t) for k >= 1 with relative truncation error 2^-(prec+15).
+def _theta0_raw(t: tuple, prec: int) -> tuple:
+    """Sum exp(-pi k^2 t), k >= 1, for a raw libmp t; returns a raw value.
 
-    One exp per call: with q = exp(-pi t), each term q^(k^2) is the previous
-    one times q^(2k+1), a step that grows by q^2 from one term to the next.
-    The cutoff is taken *relative to the leading term*: terms are added while
-    pi (k^2 - 1) t <= (prec + 16) ln 2, so that the discarded tail is below
-    2 e^(-pi t) 2^-(prec+16) — a relative bound that stays valid when
-    e^(-pi t) itself is tiny (large t is exactly where the F integrand peaks).
+    One exp per call, q = exp(-pi t) at prec + 10 bits.  The rest,
+    S = 1 + q^3 + q^8 + ..., is summed as fixed-point integers with prec + 24
+    fraction bits: each term is the previous one times a step q^(2k-1) that
+    grows by q^2, until a term is 0 at that scale.  Each term costs S >= 1 a
+    few units of 2^-(prec+24), so q S keeps the relative accuracy of q even
+    where q itself is tiny (large t is exactly where the F integrand peaks).
     """
-    with workprec(prec + 10):
-        t = mpf(t)
-        q = mpmath.exp(-mpmath.pi * t)
-        q2 = q * q
-        total = term = q
-        step = q * q2  # q^(2k+1) at k = 1
-        cut = mpf(prec + 16) * _LN2_FLOAT
-        k = 2
-        while mpmath.pi * (k * k - 1) * t <= cut:
-            term *= step
-            step *= q2
-            total += term
-            k += 1
-        return +total
+    wp, fb, rnd = prec + 10, prec + 24, round_nearest
+    q = mpf_exp(mpf_neg(mpf_mul(mpf_pi(wp, rnd), t, wp, rnd)), wp, rnd)
+    q1 = to_fixed(q, fb)
+    q2 = q1 * q1 >> fb
+    step = q2 * q1 >> fb  # q^(2k-1) at k = 2
+    total = term = MPZ_ONE << fb
+    while term:
+        term = term * step >> fb
+        total += term
+        step = step * q2 >> fb
+    return mpf_mul(q, from_man_exp(total, -fb), wp, rnd)
 
 
 def theta0(t: Number, prec: int) -> BigReal:
-    """Jacobi-type theta sum  sum_{k>=1} exp(-pi k^2 t)  for t >= 1.
+    """Jacobi-type theta sum  sum_{k>=1} exp(-pi k^2 t)  for finite t >= 1.
 
-    Raises :class:`DomainError` for t < 1; the functional-equation branch for
-    small t is out of scope (the F integral only needs t >= 1).
+    Raises :class:`DomainError` for t < 1 or a non-finite t; the
+    functional-equation branch for small t is out of scope (the F integral
+    only needs t >= 1).
     """
     _require_prec(prec)
     with workprec(prec + 16):
         tv = mpf(t)
-        if tv < 1:
-            raise DomainError(f"theta0 requires t >= 1, got {t!r}")
-        raw = _theta0_raw(tv, prec)
+        if not mpmath.isfinite(tv) or tv < 1:
+            raise DomainError(f"theta0 requires a finite t >= 1, got {t!r}")
     with workprec(prec):
-        return BigReal(+raw, prec)
+        return BigReal(+mp.make_mpf(_theta0_raw(tv._mpf_, prec)), prec)
 
 
 # ---------------------------------------------------------------------------
@@ -185,15 +184,21 @@ def _saddle_log(n: Number, prec: int) -> mpf:
 def _make_integrand(n: Number, wp: int, w: int = 0):
     """Return g(u) = u^n e^(u/4) theta0(e^u), times (w - u^2) when w is non-zero.
 
-    ``n`` comes from _normalize_exponent; e^u is e^(u/4) squared twice.
+    g takes and returns mpf, as ``mp.quad`` needs, but works on raw libmp
+    values at ``wp`` bits, rounding to nearest; e^u is e^(u/4) squared twice.
+    mpf_pow, like ``u ** n``, hands an integer n to mpf_pow_int.
     """
-    weight = mpf(w)
+    exponent, weight, rnd = mp.convert(n)._mpf_, from_int(w), round_nearest
 
     def g(u: mpf) -> mpf:
-        e4 = mpmath.exp(u / 4)
-        e2 = e4 * e4
-        value = u ** n * e4 * _theta0_raw(e2 * e2, wp)
-        return value * (weight - u * u) if w else value
+        x = u._mpf_
+        e4 = mpf_exp(mpf_shift(x, -2), wp, rnd)
+        e2 = mpf_mul(e4, e4, wp, rnd)
+        value = mpf_mul(mpf_mul(mpf_pow(x, exponent, wp, rnd), e4, wp, rnd),
+                        _theta0_raw(mpf_mul(e2, e2, wp, rnd), wp), wp, rnd)
+        if w:
+            value = mpf_mul(value, mpf_sub(weight, mpf_mul(x, x, wp, rnd), wp, rnd), wp, rnd)
+        return mp.make_mpf(value)
 
     return g
 
@@ -313,12 +318,13 @@ def _F_raw(n: Number, prec: int, w: int = 0) -> mpf:
 def F_exact(n: Number, prec: int) -> BigReal:
     """F(n) = int_1^oo (log t)^n t^(-3/4) theta0(t) dt, relative error < 2^(16-prec).
 
-    Accepts any real n >= 0; a non-integer n always takes tanh-sinh.
+    Accepts any finite real n >= 0; a non-integer n always takes tanh-sinh.
     """
     _require_prec(prec)
     with workprec(prec + 16):
-        if mpf(n) < 0:
-            raise DomainError(f"F_exact requires n >= 0, got {n!r}")
+        nv = mpf(n)
+        if not mpmath.isfinite(nv) or nv < 0:
+            raise DomainError(f"F_exact requires a finite n >= 0, got {n!r}")
     raw = _F_raw(n, prec)
     with workprec(prec):
         return BigReal(+raw, prec)

@@ -20,6 +20,8 @@ from jensenpoly.zeta_core import (
     theta0,
     _F_tanh_sinh,
     _F_trapezoid,
+    _make_integrand,
+    _peak_window,
 )
 
 # Frozen oracle: 50-term direct summation at 220 bits, computed independently
@@ -76,10 +78,20 @@ class TestTheta0:
             assert abs(lhs - rhs) < mpf("1e-15")
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            theta0(0, 128)
-        with pytest.raises(DomainError):
-            theta0(mpf("0.5"), 128)
+        for t in (0, mpf("0.5"), mpf("nan"), mpf("inf"), mpf("-inf")):
+            with pytest.raises(DomainError):
+                theta0(t, 128)
+
+    @pytest.mark.parametrize("prec", [64, 192, 340, 576])
+    @pytest.mark.parametrize("t", ["1", "1.37", "7.4", "150", "3000"])
+    def test_jacobi_theta_oracle(self, t, prec):
+        # theta0(t) = (theta_3(0, e^(-pi t)) - 1) / 2 from mpmath's jtheta, at
+        # enough extra bits that theta_3 - 1 does not cancel.  t = 1 is the
+        # longest sum; at t = 3000 even q^2 is below the sum's fixed-point scale.
+        with workprec(prec + 64 + math.ceil(math.pi * float(t) / math.log(2))):
+            tv = mpf(t)
+            oracle = (mpmath.jtheta(3, 0, mpmath.exp(-mpmath.pi * tv)) - 1) / 2
+        assert rel_close(theta0(tv, prec).value, oracle, prec - 16)
 
     def test_precision_ladder_stable(self):
         lo = theta0(mpf("1.37"), 128).value
@@ -126,8 +138,42 @@ class TestFIntegral:
         assert F_exact(10, 128).value < v < F_exact(11, 128).value
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            F_exact(-1, 128)
+        for n in (-1, mpf("nan"), mpf("inf"), float("nan"), float("inf")):
+            with pytest.raises(DomainError):
+                F_exact(n, 128)
+
+    @pytest.mark.parametrize("n, w, wp", [
+        (0, 0, 256), (0, 32, 256), (12, 0, 256), (12, 32 * math.comb(14, 2), 256),
+        (78, 0, 552), (78, 32 * math.comb(80, 2), 552), (998, 0, 312),
+        (998, 32 * math.comb(1000, 2), 312), (mpf("10.5"), 0, 168)])
+    def test_integrand_matches_plain_formula(self, n, w, wp):
+        # The raw-libmp kernel against u^n e^(u/4) theta0(e^u) (w - u^2) built
+        # from mpf objects at wp + 64, theta0 summed one exp per term.  Rounding
+        # e^u moves theta0(e^u) by pi e^u times its relative error, hence the
+        # pi e^u factor in the tolerance.
+        def theta_sum(t):
+            first = mpmath.exp(-mpmath.pi * t)
+            total, k = first, 2
+            while True:
+                term = mpmath.exp(-mpmath.pi * k * k * t)
+                if term < first * mpf(2) ** -(wp + 64):
+                    return total
+                total += term
+                k += 1
+
+        with workprec(wp):
+            g = _make_integrand(n, wp, w)
+            u_lo, _, u_hi = _peak_window(g, n, wp, wp)
+            for i in range(20):
+                u = u_lo + (u_hi - u_lo) * (2 * i + 1) / 40
+                value = g(u)
+                assert isinstance(value, mpf)
+                with workprec(wp + 64):
+                    plain = u ** n * mpmath.exp(u / 4) * theta_sum(mpmath.exp(u))
+                    if w:
+                        plain *= w - u * u
+                    bound = max(1, mpmath.pi * mpmath.exp(u)) * mpf(2) ** -(wp - 8)
+                    assert abs(value - plain) <= abs(plain) * bound, (n, w, u)
 
 
 class TestGammaExact:

@@ -18,15 +18,11 @@ linearity the two F integrals of gamma(n) merge into one, with W = 32 C(2n,2):
 
     gamma(n) = (n!/(2n)!) int_0^oo u^(2n-2) (W - u^2) e^(u/4) theta0(e^u) du / 2^(2n-1)
 
-whose integrand is positive wherever it carries mass, so nothing cancels.  Two
-quadrature back ends share a certified peak window:
-
-* tanh-sinh quadrature (``mpmath.mp.quad``) on [u_lo, L, u_hi] — the general
-  path, used for real n and small integers; its error estimate must stay
-  below 2^-(prec+5) relative;
-* a doubling-refinement trapezoid rule on [u_lo, u_hi] — used for integer
-  n >= 64, where periodic-grade convergence makes it 5-10x faster; two
-  successive refinements must agree to 2^-(prec+5) relative.
+whose integrand is positive wherever it carries mass, so nothing cancels.  One
+quadrature rule serves every exponent: a doubling-refinement trapezoid over a
+certified peak window, on u itself where 5 n >= prec and after a
+double-exponential change of variable below that; two successive refinements
+must agree to 2^-(prec+5) relative.
 
 The integrand works on raw ``mpmath.libmp`` values with two exps per node,
 e^(u/4) and q = exp(-pi e^u), and sums theta0's series as fixed-point integers.
@@ -45,8 +41,9 @@ from typing import Tuple, Union
 
 import mpmath
 from mpmath import mp, mpf, workprec
-from mpmath.libmp import (MPZ_ONE, from_int, from_man_exp, mpf_exp, mpf_mul, mpf_neg,
-                          mpf_pi, mpf_pow, mpf_shift, mpf_sub, round_nearest, to_fixed)
+from mpmath.libmp import (MPZ_ONE, fone, from_int, from_man_exp, mpf_add, mpf_div, mpf_exp,
+                          mpf_log, mpf_mul, mpf_neg, mpf_pi, mpf_pow, mpf_shift, mpf_sub,
+                          round_nearest, to_fixed)
 
 __all__ = [
     "MIN_PREC",
@@ -65,9 +62,8 @@ __all__ = [
 #: Minimum accepted binary working precision for every public operation.
 MIN_PREC = 64
 
-#: Trapezoid fast path kicks in for integer exponents >= this (below it the
-#: rule converges only like h^(n+2) and tanh-sinh wins).
-_TRAPEZOID_MIN_N = 64
+#: Doublings the trapezoid may take before an F value is a precision failure.
+_MAX_DOUBLINGS = 14
 
 
 class DomainError(ValueError):
@@ -184,7 +180,7 @@ def _saddle_log(n: Number, prec: int) -> mpf:
 def _make_integrand(n: Number, wp: int, w: int = 0):
     """Return g(u) = u^n e^(u/4) theta0(e^u), times (w - u^2) when w is non-zero.
 
-    g takes and returns mpf, as ``mp.quad`` needs, but works on raw libmp
+    g takes and returns mpf, as the trapezoid needs, but works on raw libmp
     values at ``wp`` bits, rounding to nearest; e^u is e^(u/4) squared twice.
     mpf_pow, like ``u ** n``, hands an integer n to mpf_pow_int.
     """
@@ -233,61 +229,86 @@ def _peak_window(g, n: Number, wp: int, tail_bits: int) -> Tuple[mpf, mpf, mpf]:
     return u_lo, u_peak, u_hi
 
 
-def _F_tanh_sinh(n: Number, prec: int, w: int = 0) -> mpf:
-    """General-path F(n) (weighted by w - u^2 when w is non-zero): tanh-sinh
-    quadrature over the certified window."""
-    wp = prec + 40
-    with workprec(wp):
-        g = _make_integrand(n, wp, w)
-        u_lo, u_peak, u_hi = _peak_window(g, n, wp, prec + 30)
-        points = [u_lo, u_peak, u_hi] if u_lo < u_peak < u_hi else [u_lo, u_hi]
-        value, error = mp.quad(g, points, error=True)
-        if value <= 0 or not mpmath.isfinite(value):
-            raise PrecisionFailure(f"tanh-sinh quadrature failed for n={n}")
-        if error > value * mpf(2) ** (-(prec + 5)):  # the trapezoid's acceptance rule
-            raise PrecisionFailure(f"tanh-sinh error estimate {mpmath.nstr(error, 3)} "
-                                   f"too large for F({n}) at {prec} bits")
-        return +value
+def _mapped_integrand(g, c: mpf, wp: int):
+    """Return f(s) = g(u(s)) u'(s) for u(s) = c log(1 + exp(s - e^(-s))).
+
+    Like g, f takes and returns mpf but works on raw libmp values at ``wp``
+    bits.  With a = e^(-s) and b = exp(s - a), u' = c (1 + a) b / (1 + b).
+    """
+    cr, rnd = c._mpf_, round_nearest
+
+    def f(s: mpf) -> mpf:
+        a = mpf_exp(mpf_neg(s._mpf_), wp, rnd)
+        b = mpf_exp(mpf_sub(s._mpf_, a, wp, rnd), wp, rnd)
+        b1 = mpf_add(fone, b, wp, rnd)
+        u = mp.make_mpf(mpf_mul(cr, mpf_log(b1, wp, rnd), wp, rnd))
+        du = mpf_div(mpf_mul(mpf_mul(cr, mpf_add(fone, a, wp, rnd), wp, rnd), b, wp, rnd),
+                     b1, wp, rnd)
+        return mp.make_mpf(mpf_mul(g(u)._mpf_, du, wp, rnd))
+
+    return f
 
 
-def _F_trapezoid(n: int, prec: int, w: int = 0) -> mpf:
-    """Integer n >= 64: F(n), or its (w - u^2)-weighted form, by a doubling
-    trapezoid on [u_lo, u_hi].
+def _F_raw(n: Number, prec: int, w: int = 0) -> mpf:
+    """F(n), or the integral of its (w - u^2)-weighted integrand when w is
+    non-zero, by a doubling trapezoid over the certified window.
 
     The integrand rises monotonically to its peak, so the mass left of the
     window is at most u_lo 2^-(prec+30) peak; it decays doubly-exponentially
-    past u_hi.  Being that flat at both ends, the trapezoid converges
-    spectrally; each doubling halves h and only the new midpoints are
-    evaluated.  Acceptance requires two successive refinements to agree to
-    2^-(prec+5) relative.
+    past u_hi.  Where 5 n >= prec the rule sums g on [u_lo, u_hi], where g is
+    flat enough at both ends for spectral convergence.  Below that the order-n
+    zero of g at u = 0 slows the plain rule to h^(n+2), so it sums g(u(s)) u'(s)
+    in s, with u(s) = c log(1 + exp(s - e^(-s))) and c = max(u_peak, 1)/2
+    (Takahasi & Mori's double-exponential idea): the mapped integrand decays
+    doubly-exponentially as s -> -oo, and past u ~ c the map is nearly linear,
+    so the strip of analyticity around the peak keeps its width.  The s window
+    maps onto a superset of [u_lo, u_hi].  Each doubling halves h and evaluates
+    only the new midpoints; two successive refinements must agree to
+    2^-(prec+5) relative within 14 doublings, and the result must be positive.
     """
     wp = prec + 40
     with workprec(wp):
         g = _make_integrand(n, wp, w)
         u_lo, u_peak, u_hi = _peak_window(g, n, wp, prec + 30)
         # Gaussian width of the bump: sigma = L / sqrt(C), C = (e+e^2)n - 3/4.
-        eps = 1 / u_peak
-        c_curv = (eps + eps * eps) * n - mpf(3) / 4
-        sigma = u_peak / mpmath.sqrt(c_curv)
-        n0 = max(16, int((u_hi - u_lo) / (sigma / 3)) + 1)
+        if u_peak > 0:
+            eps = 1 / u_peak
+            sigma = u_peak / mpmath.sqrt((eps + eps * eps) * n - mpf(3) / 4)
+        else:
+            sigma = mpf(1)
+        if 5 * n >= prec:
+            f, lo, hi = g, u_lo, u_hi
+        else:
+            c = max(u_peak, mpf(1)) / 2
+            f = _mapped_integrand(g, c, wp)
+            # log b(s_lo) = s_lo - e^(-s_lo) <= ell, so u(s_lo) <= u_lo.
+            if u_lo > 0:
+                ell = mpmath.log(mpmath.expm1(u_lo / c))
+            else:
+                ell = -(prec + 30) * mpmath.ln2
+            lo = ell if ell >= 0 else -mpmath.log(1 - ell)
+            hi = u_hi / c + 1
+            sigma /= c  # du/ds is about c at the peak
+        n0 = max(16, int((hi - lo) / (sigma / 3)) + 1)
 
-        h = (u_hi - u_lo) / n0
-        total = (g(u_lo) + g(u_hi)) / 2
+        h = (hi - lo) / n0
+        total = (f(lo) + f(hi)) / 2
         for i in range(1, n0):
-            total += g(u_lo + i * h)
+            total += f(lo + i * h)
         estimate = total * h
 
         tol = mpf(2) ** (-(prec + 5))
-        for _doubling in range(14):
+        for _doubling in range(_MAX_DOUBLINGS):
             mids = mpf(0)
-            m = n0  # number of new midpoints at this level
-            for i in range(m):
-                mids += g(u_lo + (i + mpf(1) / 2) * h)
+            for i in range(n0):  # the n0 new midpoints
+                mids += f(lo + (i + mpf(1) / 2) * h)
             h /= 2
             n0 *= 2
             total += mids
             new_estimate = total * h
             if abs(new_estimate - estimate) <= abs(new_estimate) * tol:
+                if new_estimate <= 0:
+                    raise PrecisionFailure(f"trapezoid sum for F({n}) is not positive")
                 return +new_estimate
             estimate = new_estimate
         raise PrecisionFailure(
@@ -295,30 +316,10 @@ def _F_trapezoid(n: int, prec: int, w: int = 0) -> mpf:
         )
 
 
-def _normalize_exponent(n: Number) -> Number:
-    """Collapse integer-valued floats/mpfs to int so the fast path can fire."""
-    if isinstance(n, int):
-        return n
-    if isinstance(n, float) and n.is_integer():
-        return int(n)
-    if isinstance(n, mpf) and mpmath.isint(n):
-        return int(n)
-    return n
-
-
-def _F_raw(n: Number, prec: int, w: int = 0) -> mpf:
-    """F(n), or the integral of its (w - u^2)-weighted integrand when w is
-    non-zero, from the quadrature that suits the exponent n."""
-    n = _normalize_exponent(n)
-    if isinstance(n, int) and n >= _TRAPEZOID_MIN_N:
-        return _F_trapezoid(n, prec, w)
-    return _F_tanh_sinh(n, prec, w)
-
-
 def F_exact(n: Number, prec: int) -> BigReal:
     """F(n) = int_1^oo (log t)^n t^(-3/4) theta0(t) dt, relative error < 2^(16-prec).
 
-    Accepts any finite real n >= 0; a non-integer n always takes tanh-sinh.
+    Accepts any finite real n >= 0, integer or not.
     """
     _require_prec(prec)
     with workprec(prec + 16):
@@ -348,28 +349,20 @@ def _check_even_positive(n: int) -> None:
 def lambda_deriv(n: int, prec: int) -> BigReal:
     """n-th derivative of the completed zeta function at 1/2 (n even, > 0).
 
-    Computes  -2^(n+2) n!  +  F(n) / 2^(n-1)  with the factorial part exact
-    and the working precision escalated until the subtraction keeps ``prec``
-    significant bits: an exponent gap wider than the guess retries with
-    ``max(gap + 8, 2 * guess)``.
+    Computes  -2^(n+2) n!  +  F(n) / 2^(n-1)  with the factorial part exact,
+    F(n) at prec + 32 bits and the sum at prec + 48.  The sum cancels at most
+    one bit: for t >= 1, theta0(t) <= e^(-pi t) / (1 - e^(-3 pi)) and
+    log t <= t - 1, so F(n) <= 1.0001 e^(-pi) n! / pi^(n+1), and F(n) / 2^(n-1)
+    stays below 2^-14 of 2^(n+2) n! for every even n >= 2.
     """
     _check_even_positive(n)
     _require_prec(prec)
 
     const_term = -(1 << (n + 2)) * math.factorial(n)  # exact integer
-    gap_guess = 8
-    for _attempt in range(6):
-        wp = prec + 24 + gap_guess
-        with workprec(wp + 16):
-            term2 = _F_raw(n, wp) / mpf(2) ** (n - 1)
-            total = mpf(const_term) + term2
-            gap = None if total == 0 else (
-                max(mpmath.mag(term2), mpmath.mag(const_term)) - mpmath.mag(total))
-        if gap is not None and gap <= gap_guess:
-            with workprec(prec):
-                return BigReal(+total, prec)
-        gap_guess = gap_guess * 2 if gap is None else max(gap + 8, gap_guess * 2)
-    raise PrecisionFailure(f"lambda_deriv({n}) cancellation exceeded the ladder")
+    with workprec(prec + 48):
+        total = mpf(const_term) + _F_raw(n, prec + 32) / mpf(2) ** (n - 1)
+    with workprec(prec):
+        return BigReal(+total, prec)
 
 
 def lambda_deriv_or_zero(n: int, prec: int) -> BigReal:

@@ -1,5 +1,6 @@
 """Core numeric kernels: theta sum, the F integral, derivative values."""
 
+import itertools
 import math
 
 import mpmath
@@ -18,8 +19,7 @@ from jensenpoly.zeta_core import (
     lambda_deriv,
     lambda_deriv_or_zero,
     theta0,
-    _F_tanh_sinh,
-    _F_trapezoid,
+    _F_raw,
     _make_integrand,
     _peak_window,
 )
@@ -115,19 +115,44 @@ class TestFIntegral:
         riemann = float(np.sum(integrand) * du)
         assert abs(mine - riemann) / riemann < 1e-8
 
-    @pytest.mark.parametrize("m, prec", [(200, 192), (200, 512), (1000, 272)])
+    @pytest.mark.parametrize("m, prec", [
+        (0, 192), (12, 192), (62, 512), (mpf("64.5"), 192),
+        (200, 192), (200, 512), (1000, 272)])
     def test_quadrature_routes_agree(self, m, prec):
-        # Dual-route check: tanh-sinh vs the windowed doubling trapezoid on the same m.
-        a = _F_tanh_sinh(m, prec)
-        b = _F_trapezoid(m, prec)
-        assert rel_close(a, b, prec - 10)
+        # Dual-route check: the doubling trapezoid against mpmath's tanh-sinh on
+        # the same integrand and window.  m = 0, 12 and 62 (5 m < prec) take the
+        # mapped rule, the others the plain one.
+        wp = prec + 40
+        with workprec(wp):
+            g = _make_integrand(m, wp)
+            u_lo, u_peak, u_hi = _peak_window(g, m, wp, prec + 30)
+            points = [u_lo, u_peak, u_hi] if u_lo < u_peak else [u_lo, u_hi]
+            ref, error = mpmath.quad(g, points, error=True)
+            assert error < ref * mpf(2) ** -(prec + 5)
+        assert rel_close(_F_raw(m, prec), ref, prec - 10)
 
-    def test_tanh_sinh_error_estimate_checked(self, monkeypatch):
-        # An estimate above the trapezoid's 2^-(prec+5) relative tolerance fails.
-        monkeypatch.setattr(zeta_core.mp, "quad",
-                            lambda f, points, error=False: (mpf(1), mpf("1e-10")))
-        with pytest.raises(PrecisionFailure):
-            _F_tanh_sinh(10, 64)
+    def test_refinement_must_settle(self, monkeypatch):
+        # A stub integrand that grows with every call never settles; two
+        # doublings keep the stub cheap.
+        calls = itertools.count(1)
+        monkeypatch.setattr(zeta_core, "_make_integrand",
+                            lambda n, wp, w=0: lambda u: mpf(next(calls)))
+        monkeypatch.setattr(zeta_core, "_peak_window",
+                            lambda g, n, wp, tail: (mpf(1), mpf(2), mpf(3)))
+        monkeypatch.setattr(zeta_core, "_MAX_DOUBLINGS", 2)
+        with pytest.raises(PrecisionFailure, match="did not stabilize"):
+            _F_raw(64, 64)
+
+    @pytest.mark.parametrize("m", [0, 64])
+    def test_result_must_be_positive(self, monkeypatch, m):
+        # A negative bump, flat at both window ends, settles within a few
+        # doublings; m = 0 takes the mapped rule, m = 64 the plain one.
+        monkeypatch.setattr(zeta_core, "_make_integrand",
+                            lambda n, wp, w=0: lambda u: -mpmath.exp(-(u - 10) ** 2))
+        monkeypatch.setattr(zeta_core, "_peak_window",
+                            lambda g, n, wp, tail: (mpf(0), mpf(0), mpf(20)))
+        with pytest.raises(PrecisionFailure, match="not positive"):
+            _F_raw(m, 64)
 
     def test_monotone_growth(self):
         assert F_exact(10, 64).value < F_exact(12, 64).value
@@ -228,7 +253,7 @@ class TestGammaExact:
     @pytest.mark.parametrize("n", [1, 12, 33, 100])
     def test_two_integral_formula(self, n):
         # The paper's form (n!/(2n)!) (32 C(2n,2) F(2n-2) - F(2n)) / 2^(2n-1):
-        # n = 1 and 12 take tanh-sinh, 33 and 100 the trapezoid.
+        # n = 1 and 12 take the mapped rule, 33 and 100 the plain one.
         with workprec(224):
             f_lo = F_exact(2 * n - 2, 224).value
             f_hi = F_exact(2 * n, 224).value
@@ -239,20 +264,23 @@ class TestGammaExact:
     def test_one_quadrature_per_value(self, monkeypatch):
         # A precision no other test uses, so no earlier value can be reused.
         calls = []
+        rule = zeta_core._F_raw
 
-        def recording(name):
-            rule = getattr(zeta_core, name)
+        def record(m, *rest):
+            calls.append(m)
+            return rule(m, *rest)
 
-            def record(m, *rest):
-                calls.append((name, m))
-                return rule(m, *rest)
-            return record
-
-        for name in ("_F_tanh_sinh", "_F_trapezoid"):
-            monkeypatch.setattr(zeta_core, name, recording(name))
+        monkeypatch.setattr(zeta_core, "_F_raw", record)
         gamma_exact(12, 136)
         gamma_exact(40, 136)
-        assert calls == [("_F_tanh_sinh", 22), ("_F_trapezoid", 78)]
+        assert calls == [22, 78]
+
+    @pytest.mark.parametrize("n", [33, 40])
+    def test_1024_bit_rung(self, n):
+        # Near m = 64 at 1024 bits the plain trapezoid did not settle (n = 33)
+        # or needed some 426k integrand evaluations (n = 40).
+        top = gamma_exact(n, 1024).value.value
+        assert rel_close(top, gamma_exact(n, 512).value.value, 496)
 
 
 class TestLambdaDeriv:

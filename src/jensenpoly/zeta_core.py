@@ -21,11 +21,17 @@ linearity the two F integrals of gamma(n) merge into one, with W = 32 C(2n,2):
 whose integrand is positive wherever it carries mass, so nothing cancels.  One
 quadrature rule serves every exponent: a doubling-refinement trapezoid over a
 certified peak window, on u itself where 5 n >= prec and after a
-double-exponential change of variable below that; two successive refinements
-must agree to 2^-(prec+5) relative.
+double-exponential change of variable s -> u(s) with scale c below that; two
+successive refinements must agree to 2^-(prec+5) relative.
 
-The integrand works on raw ``mpmath.libmp`` values with two exps per node,
-e^(u/4) and q = exp(-pi e^u), and sums theta0's series as fixed-point integers.
+Every node lies on one dyadic lattice k 2^-j, in u or in s, so neighbouring
+exponents share nodes.  The integrand splits into a per-value part
+u^n (W - u^2) and a shared node factor, e^(u/4) theta0(e^u) (times u'(s) on
+the mapped side), which a memo keeps for the previous F value, keyed by the
+working precision, c and the exact node.  c is a power of two, so neighbours
+share one map.  The shared factor works on raw ``mpmath.libmp`` values with
+two exps per node, e^(u/4) and q = exp(-pi e^u), and sums theta0's series as
+fixed-point integers.
 
 All public operations take an explicit binary precision ``prec`` (>= 64) and
 return :class:`BigReal` / :class:`GammaValue` values that are correctly
@@ -37,13 +43,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Optional, Tuple, Union
 
 import mpmath
 from mpmath import mp, mpf, workprec
-from mpmath.libmp import (MPZ_ONE, fone, from_int, from_man_exp, mpf_add, mpf_div, mpf_exp,
-                          mpf_log, mpf_mul, mpf_neg, mpf_pi, mpf_pow, mpf_shift, mpf_sub,
-                          round_nearest, to_fixed)
+from mpmath.libmp import (MPZ_ONE, fone, from_int, from_man_exp, mpf_abs, mpf_add, mpf_div,
+                          mpf_exp, mpf_gt, mpf_le, mpf_log, mpf_lt, mpf_mul, mpf_neg, mpf_pi,
+                          mpf_pow, mpf_shift, mpf_sign, mpf_sub, round_nearest, to_fixed)
 
 __all__ = [
     "MIN_PREC",
@@ -64,6 +70,11 @@ MIN_PREC = 64
 
 #: Doublings the trapezoid may take before an F value is a precision failure.
 _MAX_DOUBLINGS = 14
+
+#: Node factors one F value may keep in the memo (some 5-10 MB at most); an
+#: F value that refines past this computes its further nodes without keeping
+#: them, so a sum that does not settle cannot fill memory.
+_MEMO_NODES = 1 << 13
 
 
 class DomainError(ValueError):
@@ -177,143 +188,200 @@ def _saddle_log(n: Number, prec: int) -> mpf:
     return _solve_L_raw(n, prec)
 
 
-def _make_integrand(n: Number, wp: int, w: int = 0):
-    """Return g(u) = u^n e^(u/4) theta0(e^u), times (w - u^2) when w is non-zero.
+def _ceil_log2(x: mpf) -> int:
+    """The least integer e with 2^e >= x, for x > 0."""
+    return x.exp + (x.man - 1).bit_length()
 
-    g takes and returns mpf, as the trapezoid needs, but works on raw libmp
-    values at ``wp`` bits, rounding to nearest; e^u is e^(u/4) squared twice.
-    mpf_pow, like ``u ** n``, hands an integer n to mpf_pow_int.
+
+def _node_factor(x: tuple, wp: int, ce: Optional[int]):
+    """The factor of the F integrand that does not depend on the exponent.
+
+    On the plain side (``ce`` is None) x is u and the factor is
+    e^(u/4) theta0(e^u), with e^u e^(u/4) squared twice.  On the mapped side x
+    is s, c = 2^ce, and the factor is the pair (u, e^(u/4) theta0(e^u) u'(s))
+    for u = c log(1 + b), a = e^(-s), b = exp(s - a) and
+    u' = c (1 + a) b / (1 + b).  Raw libmp values at ``wp`` bits, rounding to
+    nearest.
+    """
+    rnd = round_nearest
+    if ce is not None:
+        a = mpf_exp(mpf_neg(x), wp, rnd)
+        b = mpf_exp(mpf_sub(x, a, wp, rnd), wp, rnd)
+        b1 = mpf_add(fone, b, wp, rnd)
+        u = mpf_shift(mpf_log(b1, wp, rnd), ce)
+        du = mpf_shift(mpf_div(mpf_mul(mpf_add(fone, a, wp, rnd), b, wp, rnd), b1, wp, rnd), ce)
+        return u, mpf_mul(_node_factor(u, wp, None), du, wp, rnd)
+    e4 = mpf_exp(mpf_shift(x, -2), wp, rnd)
+    e2 = mpf_mul(e4, e4, wp, rnd)
+    return mpf_mul(e4, _theta0_raw(mpf_mul(e2, e2, wp, rnd), wp), wp, rnd)
+
+
+def _make_integrand(n: Number, wp: int, w: int = 0, ce: Optional[int] = None,
+                    factor=None):
+    """Return f(x) = u^n F(x), times (w - u^2) when w is non-zero.
+
+    F is the shared factor of :func:`_node_factor` (``factor``, which defaults
+    to it, maps x to it), so f is g(u) = u^n e^(u/4) theta0(e^u) (w - u^2) on
+    the plain side and g(u(s)) u'(s) on the mapped one.  f takes and returns
+    raw libmp values at ``wp`` bits; mpf_pow, like ``u ** n``, hands an
+    integer n to mpf_pow_int.
     """
     exponent, weight, rnd = mp.convert(n)._mpf_, from_int(w), round_nearest
+    if factor is None:
+        def factor(x):
+            return _node_factor(x, wp, ce)
 
-    def g(u: mpf) -> mpf:
-        x = u._mpf_
-        e4 = mpf_exp(mpf_shift(x, -2), wp, rnd)
-        e2 = mpf_mul(e4, e4, wp, rnd)
-        value = mpf_mul(mpf_mul(mpf_pow(x, exponent, wp, rnd), e4, wp, rnd),
-                        _theta0_raw(mpf_mul(e2, e2, wp, rnd), wp), wp, rnd)
+    def f(x: tuple) -> tuple:
+        u, shared = (x, factor(x)) if ce is None else factor(x)
+        value = mpf_mul(mpf_pow(u, exponent, wp, rnd), shared, wp, rnd)
         if w:
-            value = mpf_mul(value, mpf_sub(weight, mpf_mul(x, x, wp, rnd), wp, rnd), wp, rnd)
-        return mp.make_mpf(value)
-
-    return g
-
-
-def _peak_window(g, n: Number, wp: int, tail_bits: int) -> Tuple[mpf, mpf, mpf]:
-    """Window [u_lo, u_peak, u_hi] outside which |g| < 2^-tail_bits * peak."""
-    if mpf(n) > 0:
-        u_peak = _saddle_log(n, wp)
-    else:
-        u_peak = mpf(0)
-    peak = g(max(u_peak, mpf("1e-3"))) if u_peak == 0 else g(u_peak)
-    if peak <= 0:
-        raise PrecisionFailure(f"integrand peak underflowed for n={n}")
-    target = peak * mpf(2) ** (-tail_bits)
-
-    step = max(u_peak, mpf(1)) / 4
-    u_hi = max(u_peak, mpf(1))
-    while abs(g(u_hi)) > target:
-        u_hi += step
-
-    if mpf(n) > 0 and u_peak > 0:
-        lo, hi = mpf(0), u_peak
-        for _ in range(60):
-            mid = (lo + hi) / 2
-            if g(mid) > target:
-                hi = mid
-            else:
-                lo = mid
-        u_lo = lo
-    else:
-        u_lo = mpf(0)
-    return u_lo, u_peak, u_hi
-
-
-def _mapped_integrand(g, c: mpf, wp: int):
-    """Return f(s) = g(u(s)) u'(s) for u(s) = c log(1 + exp(s - e^(-s))).
-
-    Like g, f takes and returns mpf but works on raw libmp values at ``wp``
-    bits.  With a = e^(-s) and b = exp(s - a), u' = c (1 + a) b / (1 + b).
-    """
-    cr, rnd = c._mpf_, round_nearest
-
-    def f(s: mpf) -> mpf:
-        a = mpf_exp(mpf_neg(s._mpf_), wp, rnd)
-        b = mpf_exp(mpf_sub(s._mpf_, a, wp, rnd), wp, rnd)
-        b1 = mpf_add(fone, b, wp, rnd)
-        u = mp.make_mpf(mpf_mul(cr, mpf_log(b1, wp, rnd), wp, rnd))
-        du = mpf_div(mpf_mul(mpf_mul(cr, mpf_add(fone, a, wp, rnd), wp, rnd), b, wp, rnd),
-                     b1, wp, rnd)
-        return mp.make_mpf(mpf_mul(g(u)._mpf_, du, wp, rnd))
+            value = mpf_mul(value, mpf_sub(weight, mpf_mul(u, u, wp, rnd), wp, rnd), wp, rnd)
+        return value
 
     return f
 
 
-def _F_raw(n: Number, prec: int, w: int = 0) -> mpf:
-    """F(n), or the integral of its (w - u^2)-weighted integrand when w is
-    non-zero, by a doubling trapezoid over the certified window.
+def _peak_window(f, n: Number, u_peak: mpf, ce: Optional[int],
+                 tail_bits: int) -> Tuple[int, int, int]:
+    """Lattice window (j, k_lo, k_hi) of the integrand f in its variable x.
 
-    The integrand rises monotonically to its peak, so the mass left of the
-    window is at most u_lo 2^-(prec+30) peak; it decays doubly-exponentially
-    past u_hi.  Where 5 n >= prec the rule sums g on [u_lo, u_hi], where g is
-    flat enough at both ends for spectral convergence.  Below that the order-n
-    zero of g at u = 0 slows the plain rule to h^(n+2), so it sums g(u(s)) u'(s)
-    in s, with u(s) = c log(1 + exp(s - e^(-s))) and c = max(u_peak, 1)/2
-    (Takahasi & Mori's double-exponential idea): the mapped integrand decays
-    doubly-exponentially as s -> -oo, and past u ~ c the map is nearly linear,
-    so the strip of analyticity around the peak keeps its width.  The s window
-    maps onto a superset of [u_lo, u_hi].  Each doubling halves h and evaluates
-    only the new midpoints; two successive refinements must agree to
-    2^-(prec+5) relative within 14 doublings, and the result must be positive.
+    j is the least level whose step 2^-j is at most a third of the bump's
+    Gaussian width, sigma = L / sqrt(C) with C = (e + e^2) n - 3/4 and e = 1/L
+    (divided by c on the mapped side, where du/ds is about c at the peak).
+    From the node nearest the peak, P = f(k_peak 2^-j), the window walks
+    outward in strides of four nodes to the first node on each side where
+    f <= 2^-tail_bits P; on u it stops at 0.  Every node it evaluates is a
+    node of the trapezoid.  Left of the peak f rises monotonically (u' rises
+    with s), so the mass left of x_lo is at most a small multiple of f(x_lo)
+    (u(s) <= e^2 u'(s) there); f decays doubly-exponentially past x_hi.  The
+    level is then refined until the window holds at least 16 intervals.
     """
-    wp = prec + 40
-    with workprec(wp):
-        g = _make_integrand(n, wp, w)
-        u_lo, u_peak, u_hi = _peak_window(g, n, wp, prec + 30)
-        # Gaussian width of the bump: sigma = L / sqrt(C), C = (e+e^2)n - 3/4.
+    with workprec(64):
         if u_peak > 0:
             eps = 1 / u_peak
             sigma = u_peak / mpmath.sqrt((eps + eps * eps) * n - mpf(3) / 4)
         else:
             sigma = mpf(1)
-        if 5 * n >= prec:
-            f, lo, hi = g, u_lo, u_hi
+        if ce is None:
+            x_peak, k_min = u_peak, 0  # u >= 0
         else:
-            c = max(u_peak, mpf(1)) / 2
-            f = _mapped_integrand(g, c, wp)
-            # log b(s_lo) = s_lo - e^(-s_lo) <= ell, so u(s_lo) <= u_lo.
-            if u_lo > 0:
-                ell = mpmath.log(mpmath.expm1(u_lo / c))
-            else:
-                ell = -(prec + 30) * mpmath.ln2
-            lo = ell if ell >= 0 else -mpmath.log(1 - ell)
-            hi = u_hi / c + 1
-            sigma /= c  # du/ds is about c at the peak
-        n0 = max(16, int((hi - lo) / (sigma / 3)) + 1)
+            c = mpf(2) ** ce
+            sigma /= c
+            x_peak, k_min = mpf(0), -math.inf
+            if u_peak > 0:  # u(s) = u_peak: s - e^(-s) = log b, so e^(-s) = W(1/b)
+                b = mpmath.expm1(u_peak / c)
+                x_peak = mpmath.log(b) + mpmath.lambertw(1 / b)
+        j = _ceil_log2(3 / sigma)
+        k_peak = int(mpmath.nint(mpmath.ldexp(x_peak, j)))
 
-        h = (hi - lo) / n0
-        total = (f(lo) + f(hi)) / 2
-        for i in range(1, n0):
-            total += f(lo + i * h)
-        estimate = total * h
+    def at(k: int) -> tuple:
+        return f(from_man_exp(k, -j))
 
-        tol = mpf(2) ** (-(prec + 5))
-        for _doubling in range(_MAX_DOUBLINGS):
-            mids = mpf(0)
-            for i in range(n0):  # the n0 new midpoints
-                mids += f(lo + (i + mpf(1) / 2) * h)
-            h /= 2
-            n0 *= 2
-            total += mids
-            new_estimate = total * h
-            if abs(new_estimate - estimate) <= abs(new_estimate) * tol:
-                if new_estimate <= 0:
-                    raise PrecisionFailure(f"trapezoid sum for F({n}) is not positive")
-                return +new_estimate
-            estimate = new_estimate
-        raise PrecisionFailure(
-            f"trapezoid refinement did not stabilize for F({n}) at {prec} bits"
-        )
+    peak = at(k_peak)
+    if mpf_sign(peak) <= 0:
+        raise PrecisionFailure(f"integrand peak underflowed for n={n}")
+    target = mpf_shift(peak, -tail_bits)
+    k_hi = k_peak + 4
+    while mpf_gt(at(k_hi), target):
+        k_hi += 4
+    k_lo = k_peak - 4
+    while k_lo > k_min and mpf_gt(at(k_lo), target):
+        k_lo -= 4
+    k_lo = max(k_lo, k_min)
+    while k_hi - k_lo < 16:
+        j, k_lo, k_hi = j + 1, 2 * k_lo, 2 * k_hi
+    return j, k_lo, k_hi
+
+
+def _rule(n: Number, prec: int) -> Tuple[mpf, Optional[int]]:
+    """(u_peak, ce): the saddle L(n) (0 at n = 0) and the map scale c = 2^ce,
+    None on the plain side (5 n >= prec)."""
+    u_peak = _saddle_log(n, 64) if n > 0 else mpf(0)
+    if 5 * n >= prec:
+        return u_peak, None
+    with workprec(64):
+        return u_peak, _ceil_log2(max(u_peak, mpf(1)) / 2)
+
+
+#: Shared node factors of the previous F value: (wp, ce, lo, hi, {node: factor}),
+#: or None.
+_node_memo: Optional[tuple] = None
+
+
+def _F_raw(n: Number, prec: int, w: int = 0) -> mpf:
+    """F(n), or the integral of its (w - u^2)-weighted integrand when w is
+    non-zero, by a doubling trapezoid on a dyadic lattice over the certified
+    window.
+
+    Where 5 n >= prec the rule sums g(u) = u^n (w - u^2) e^(u/4) theta0(e^u)
+    in u, where g is flat enough at both window ends for spectral convergence.
+    Below that the order-n zero of g at u = 0 slows the plain rule to h^(n+2),
+    so it sums g(u(s)) u'(s) in s, with u(s) = c log(1 + exp(s - e^(-s)))
+    (Takahasi & Mori's double-exponential idea): the mapped integrand decays
+    doubly-exponentially as s -> -oo, and past u ~ c the map is nearly linear,
+    so the strip of analyticity around the peak keeps its width.
+
+    Every node sits on the lattice x = k 2^-j (x = u or s), from the level
+    and window of :func:`_peak_window`; each doubling adds the odd k of the
+    next level.  The trapezoid's exponential convergence depends on the step,
+    not on where the grid starts, so neighbouring values share nodes, and
+    c = 2^ceil(log2(max(u_peak, 1)/2)) is a power of two so that they share
+    one map.  The integrand is the per-value part u^n (w - u^2) times the
+    shared factor of :func:`_node_factor`, which ``_node_memo`` keeps for the
+    previous F value only, keyed by the working precision, c and the exact
+    node: the nodes this value reuses move into its own table, and the rest
+    go when it ends, or before the sum when the windows do not overlap.  A
+    factor depends only on (wp, c, node), so each value's bits depend only on
+    its arguments.  Two successive refinements must agree to 2^-(prec+5)
+    relative within 14 doublings, and the result must be positive; any
+    exception leaves the memo empty.
+    """
+    global _node_memo
+    wp, rnd = prec + 40, round_nearest
+    u_peak, ce = _rule(n, prec)
+    if _node_memo is not None and _node_memo[:2] == (wp, ce):
+        _, _, previous_lo, previous_hi, previous = _node_memo
+    else:
+        previous = {}
+    _node_memo, table = None, {}
+
+    def factor(x: tuple):
+        value = table.get(x)
+        if value is None:
+            value = previous.pop(x, None)
+            if value is None:
+                value = _node_factor(x, wp, ce)
+            if len(table) < _MEMO_NODES:
+                table[x] = value
+        return value
+
+    f = _make_integrand(n, wp, w, ce, factor)
+    j, k_lo, k_hi = _peak_window(f, n, u_peak, ce, prec + 30)
+    lo, hi = from_man_exp(k_lo, -j), from_man_exp(k_hi, -j)
+    if previous and (mpf_lt(previous_hi, lo) or mpf_gt(previous_lo, hi)):
+        previous.clear()
+
+    total = mpf_shift(mpf_add(f(lo), f(hi), wp, rnd), -1)
+    for k in range(k_lo + 1, k_hi):
+        total = mpf_add(total, f(from_man_exp(k, -j)), wp, rnd)
+    estimate = mpf_shift(total, -j)
+
+    tol = -(prec + 5)
+    for _doubling in range(_MAX_DOUBLINGS):
+        j, k_lo, k_hi = j + 1, 2 * k_lo, 2 * k_hi
+        for k in range(k_lo + 1, k_hi, 2):  # the new midpoints
+            total = mpf_add(total, f(from_man_exp(k, -j)), wp, rnd)
+        new_estimate = mpf_shift(total, -j)
+        diff = mpf_abs(mpf_sub(new_estimate, estimate, wp, rnd))
+        if mpf_le(diff, mpf_shift(mpf_abs(new_estimate), tol)):
+            if mpf_sign(new_estimate) <= 0:
+                raise PrecisionFailure(f"trapezoid sum for F({n}) is not positive")
+            _node_memo = (wp, ce, lo, hi, table)
+            return mp.make_mpf(new_estimate)
+        estimate = new_estimate
+    raise PrecisionFailure(
+        f"trapezoid refinement did not stabilize for F({n}) at {prec} bits"
+    )
 
 
 def F_exact(n: Number, prec: int) -> BigReal:

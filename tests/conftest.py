@@ -1,9 +1,16 @@
-"""Shared fixtures: one zeta provider per session so its value cache
-(and the in-process integral memo) is reused across every test module."""
+"""Shared fixtures: one zeta provider per session so its value cache is
+reused across every test module, and an empty quadrature node memo around
+every test."""
 
 import pytest
 
+from jensenpoly import zeta_core
 from jensenpoly.sequences import partition_provider, zeta_gamma_provider
+
+
+@pytest.fixture(autouse=True)
+def fresh_node_memo(monkeypatch):
+    monkeypatch.setattr(zeta_core, "_node_memo", None)
 
 
 @pytest.fixture(scope="session")

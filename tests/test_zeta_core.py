@@ -6,6 +6,7 @@ import math
 import mpmath
 import pytest
 from mpmath import mpf, workprec
+from mpmath.libmp import from_int, from_man_exp
 
 from jensenpoly import zeta_core
 from jensenpoly.zeta_core import (
@@ -37,6 +38,19 @@ def rel_close(a, b, bits: int) -> bool:
         if b == 0:
             return abs(a) < mpf(2) ** (-bits)
         return abs(a - b) <= abs(b) * mpf(2) ** (-bits)
+
+
+def theta0_counter(monkeypatch):
+    """Count theta0 evaluations from now on; the result reads the count."""
+    calls = []
+    theta = zeta_core._theta0_raw
+
+    def counted(t, prec):
+        calls.append(None)
+        return theta(t, prec)
+
+    monkeypatch.setattr(zeta_core, "_theta0_raw", counted)
+    return calls.__len__
 
 
 class TestBigReal:
@@ -120,39 +134,59 @@ class TestFIntegral:
         (200, 192), (200, 512), (1000, 272)])
     def test_quadrature_routes_agree(self, m, prec):
         # Dual-route check: the doubling trapezoid against mpmath's tanh-sinh on
-        # the same integrand and window.  m = 0, 12 and 62 (5 m < prec) take the
-        # mapped rule, the others the plain one.
+        # the plain integrand g(u) over the same window.  m = 0, 12 and 62
+        # (5 m < prec) take the mapped rule, whose s window is mapped back to u,
+        # the others the plain one.
         wp = prec + 40
+        u_peak, ce = zeta_core._rule(m, prec)
+        j, k_lo, k_hi = _peak_window(_make_integrand(m, wp, 0, ce), m, u_peak, ce, prec + 30)
+        window = [from_man_exp(k, -j) for k in (k_lo, k_hi)]
+        if ce is not None:
+            window = [zeta_core._node_factor(s, wp, ce)[0] for s in window]
+        g = _make_integrand(m, wp)
         with workprec(wp):
-            g = _make_integrand(m, wp)
-            u_lo, u_peak, u_hi = _peak_window(g, m, wp, prec + 30)
-            points = [u_lo, u_peak, u_hi] if u_lo < u_peak else [u_lo, u_hi]
-            ref, error = mpmath.quad(g, points, error=True)
+            u_lo, u_hi = (mpmath.mp.make_mpf(u) for u in window)
+            points = [u_lo, u_peak, u_hi] if u_lo < u_peak < u_hi else [u_lo, u_hi]
+            ref, error = mpmath.quad(lambda u: mpmath.mp.make_mpf(g(u._mpf_)), points,
+                                     error=True)
             assert error < ref * mpf(2) ** -(prec + 5)
         assert rel_close(_F_raw(m, prec), ref, prec - 10)
 
     def test_refinement_must_settle(self, monkeypatch):
-        # A stub integrand that grows with every call never settles; two
-        # doublings keep the stub cheap.
+        # A stub node factor that grows with every call never settles; two
+        # doublings keep the stub cheap.  The failure empties the memo that
+        # F(10) filled.
+        _F_raw(10, 64)
+        assert zeta_core._node_memo is not None
         calls = itertools.count(1)
-        monkeypatch.setattr(zeta_core, "_make_integrand",
-                            lambda n, wp, w=0: lambda u: mpf(next(calls)))
+        monkeypatch.setattr(zeta_core, "_node_factor",
+                            lambda x, wp, ce: from_int(next(calls)))
         monkeypatch.setattr(zeta_core, "_peak_window",
-                            lambda g, n, wp, tail: (mpf(1), mpf(2), mpf(3)))
+                            lambda f, n, u_peak, ce, tail: (0, 1, 17))
         monkeypatch.setattr(zeta_core, "_MAX_DOUBLINGS", 2)
         with pytest.raises(PrecisionFailure, match="did not stabilize"):
             _F_raw(64, 64)
+        assert zeta_core._node_memo is None
 
     @pytest.mark.parametrize("m", [0, 64])
     def test_result_must_be_positive(self, monkeypatch, m):
         # A negative bump, flat at both window ends, settles within a few
-        # doublings; m = 0 takes the mapped rule, m = 64 the plain one.
-        monkeypatch.setattr(zeta_core, "_make_integrand",
-                            lambda n, wp, w=0: lambda u: -mpmath.exp(-(u - 10) ** 2))
+        # doublings; m = 0 takes the mapped rule (with u = s), m = 64 the plain
+        # one (times u^64, which moves the bump's peak to about 14.6).  The
+        # failure empties the memo that F(10) filled.
+        def bump(x, wp, ce):
+            with workprec(wp):
+                value = (-mpmath.exp(-(mpmath.mp.make_mpf(x) - 10) ** 2))._mpf_
+            return value if ce is None else (x, value)
+
+        _F_raw(10, 64)
+        assert zeta_core._node_memo is not None
+        monkeypatch.setattr(zeta_core, "_node_factor", bump)
         monkeypatch.setattr(zeta_core, "_peak_window",
-                            lambda g, n, wp, tail: (mpf(0), mpf(0), mpf(20)))
+                            lambda f, n, u_peak, ce, tail: (0, 0, 32))
         with pytest.raises(PrecisionFailure, match="not positive"):
             _F_raw(m, 64)
+        assert zeta_core._node_memo is None
 
     def test_monotone_growth(self):
         assert F_exact(10, 64).value < F_exact(12, 64).value
@@ -186,13 +220,13 @@ class TestFIntegral:
                 total += term
                 k += 1
 
+        g = _make_integrand(n, wp, w)
+        j, k_lo, k_hi = _peak_window(g, n, zeta_core._rule(n, wp)[0], None, wp)
         with workprec(wp):
-            g = _make_integrand(n, wp, w)
-            u_lo, _, u_hi = _peak_window(g, n, wp, wp)
+            u_lo, u_hi = mpmath.ldexp(k_lo, -j), mpmath.ldexp(k_hi, -j)
             for i in range(20):
                 u = u_lo + (u_hi - u_lo) * (2 * i + 1) / 40
-                value = g(u)
-                assert isinstance(value, mpf)
+                value = mpmath.mp.make_mpf(g(u._mpf_))
                 with workprec(wp + 64):
                     plain = u ** n * mpmath.exp(u / 4) * theta_sum(mpmath.exp(u))
                     if w:
@@ -274,6 +308,31 @@ class TestGammaExact:
         gamma_exact(12, 136)
         gamma_exact(40, 136)
         assert calls == [22, 78]
+
+    @pytest.mark.parametrize("n, prec", [(12, 512), (40, 512), (105, 272)])
+    def test_bits_do_not_depend_on_the_memo(self, monkeypatch, n, prec):
+        # gamma(n) keeps every bit whether the node memo is empty or holds the
+        # nodes of a neighbour or of a value at another precision; 12 and 40
+        # take the mapped rule at 512 bits, 105 the plain one at 272.
+        count = theta0_counter(monkeypatch)
+        alone = gamma_exact(n, prec).value.value._mpf_
+        cost_alone = count()
+        for before, before_prec in [(n - 1, prec), (n + 1, prec), (n, prec - 64)]:
+            zeta_core._node_memo = None
+            gamma_exact(before, before_prec)
+            start = count()
+            assert gamma_exact(n, prec).value.value._mpf_ == alone
+            if before_prec == prec:  # a neighbour's nodes are reused
+                assert count() - start < cost_alone / 2
+
+    @pytest.mark.parametrize("ns", [range(7, 16), range(100, 112)])
+    def test_neighbours_share_nodes(self, monkeypatch, ns):
+        # Counted theta0 evaluations, independent of the machine: without
+        # shared nodes these blocks took 5,865 and 4,920 at 272 bits.
+        count = theta0_counter(monkeypatch)
+        for n in ns:
+            gamma_exact(n, 272)
+        assert count() < 2000
 
     @pytest.mark.parametrize("n", [33, 40])
     def test_1024_bit_rung(self, n):

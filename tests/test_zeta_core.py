@@ -50,7 +50,7 @@ def theta0_counter(monkeypatch):
         return theta(t, prec)
 
     monkeypatch.setattr(zeta_core, "_theta0_raw", counted)
-    return calls.__len__
+    return lambda: len(calls)
 
 
 class TestBigReal:

@@ -7,131 +7,14 @@ hyperbolicity (real-rootedness) verdicts — with a CLI for tables, sweeps,
 and a persistent value cache.
 """
 
-from .zeta_core import (
-    MIN_PREC,
-    BigReal,
-    DomainError,
-    GammaValue,
-    PrecisionFailure,
-    F_exact,
-    gamma_exact,
-    lambda_deriv,
-    lambda_deriv_or_zero,
-    theta0,
-)
-from .asymptotics import (
-    AsymParams,
-    SaddleData,
-    C_of,
-    F_hat,
-    b1_of,
-    bessel_I,
-    gamma_hat,
-    modular_params,
-    partition_params,
-    saddle_coeffs,
-    saddle_data,
-    solve_L,
-    zeta_A_delta,
-    zeta_params,
-)
-from .sequences import (
-    CacheError,
-    CacheFormatError,
-    CacheRecord,
-    FitResult,
-    GammaCache,
-    SequenceDataError,
-    SequenceProvider,
-    fit_growth_params,
-    load_sequence,
-    partition,
-    partition_provider,
-    zeta_gamma_provider,
-)
-from .jensen import (
-    ConvergenceRow,
-    DegenerateChainError,
-    EffectiveReport,
-    EffectiveRow,
-    FindNResult,
-    HyperbolicityCertificate,
-    Poly,
-    RationalPoly,
-    cauchy_bound,
-    certify,
-    certify_renormalized,
-    convergence_report,
-    effective_check_d4,
-    find_N,
-    generalized_hermite,
-    hermite,
-    is_hyperbolic,
-    jensen_poly,
-    renormalize,
-    squarefree_part,
-    sturm_count,
-)
+from . import asymptotics, jensen, sequences, zeta_core
+from .zeta_core import *
+from .asymptotics import *
+from .sequences import *
+from .jensen import *
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AsymParams",
-    "BigReal",
-    "C_of",
-    "CacheError",
-    "CacheFormatError",
-    "CacheRecord",
-    "ConvergenceRow",
-    "DegenerateChainError",
-    "DomainError",
-    "EffectiveReport",
-    "EffectiveRow",
-    "F_exact",
-    "F_hat",
-    "FindNResult",
-    "FitResult",
-    "GammaCache",
-    "GammaValue",
-    "HyperbolicityCertificate",
-    "MIN_PREC",
-    "Poly",
-    "PrecisionFailure",
-    "RationalPoly",
-    "SaddleData",
-    "SequenceDataError",
-    "SequenceProvider",
-    "b1_of",
-    "bessel_I",
-    "cauchy_bound",
-    "certify",
-    "certify_renormalized",
-    "convergence_report",
-    "effective_check_d4",
-    "find_N",
-    "fit_growth_params",
-    "gamma_exact",
-    "gamma_hat",
-    "generalized_hermite",
-    "hermite",
-    "is_hyperbolic",
-    "jensen_poly",
-    "lambda_deriv",
-    "lambda_deriv_or_zero",
-    "load_sequence",
-    "modular_params",
-    "partition",
-    "partition_params",
-    "partition_provider",
-    "renormalize",
-    "saddle_coeffs",
-    "saddle_data",
-    "solve_L",
-    "squarefree_part",
-    "sturm_count",
-    "theta0",
-    "zeta_A_delta",
-    "zeta_gamma_provider",
-    "zeta_params",
-    "__version__",
-]
+# Each layer declares its public names once, in its own ``__all__``.
+__all__ = [*zeta_core.__all__, *asymptotics.__all__, *sequences.__all__,
+           *jensen.__all__, "__version__"]

@@ -2,8 +2,10 @@
 
 Four groups of operations:
 
-* the saddle solver ``solve_L`` (positive root of n = L (pi e^L + 3/4)) and
-  the two-term approximation F_hat / gamma_hat built on it, with correction
+* ``solve_L``, the positive root of n = L (pi e^L + 3/4) rounded at the
+  requested precision (its Newton solver lives in :mod:`.zeta_core`, whose
+  quadrature window needs it), and the two-term approximation
+  F_hat / gamma_hat built on L(n), with correction
   b1(L) = (2L^4 + 9L^3 + 16L^2 + 6L + 2) / (24 (L+1)^3);
 * ``saddle_coeffs``: the lambda-expansion coefficients A_3..A_6 of
   f((1+lambda) a) / f(a) = exp(-C lambda^2 / 2)(1 + A_3 lambda^3 + ...),
@@ -20,8 +22,9 @@ Four groups of operations:
   precision, a standalone tool: the growth normalizations above use closed
   forms instead.
 
-All functions take explicit binary precision and return BigReal-valued
-results rounded at that precision.
+All functions take explicit binary precision (``b1_of`` reads it from a
+BigReal argument) and return BigReal-valued results rounded at that
+precision.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from .zeta_core import (
     Number,
     PrecisionFailure,
     _require_prec,
+    _solve_L_raw,
     gamma_exact,
 )
 
@@ -66,46 +70,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _solve_L_raw(n: Number, prec: int) -> mpf:
-    """Newton iteration for the positive root of n = L (pi e^L + 3/4).
-
-    Start from L0 = log(n / log n) (valid for n >= 3, clamped otherwise); the
-    map is monotone increasing in L > 0 so a half-step fallback keeps the
-    iterate positive.  Residual is verified to 2^(-prec+8) * n.
-    """
-    with workprec(prec + 20):
-        n_mp = mpf(n)
-        if n_mp <= 0:
-            raise DomainError(f"saddle solver requires n > 0, got {n!r}")
-        if n_mp > 3:
-            L = mpmath.log(n_mp / mpmath.log(n_mp))
-        else:
-            L = mpf(1) / 2
-        if L <= 0:
-            L = mpf(1) / 2
-        tol = mpf(2) ** (-prec - 10)
-        for _iteration in range(prec + 80):
-            e_l = mpmath.exp(L)
-            residual = L * (mpmath.pi * e_l + mpf(3) / 4) - n_mp
-            slope = mpmath.pi * e_l * (1 + L) + mpf(3) / 4
-            step = residual / slope
-            nxt = L - step
-            if nxt <= 0:
-                nxt = L / 2
-            if abs(nxt - L) < abs(L) * tol:
-                L = nxt
-                break
-            L = nxt
-        else:
-            raise PrecisionFailure(f"saddle solver did not converge for n={n!r}")
-        check = abs(L * (mpmath.pi * mpmath.exp(L) + mpf(3) / 4) - n_mp)
-        if check > abs(n_mp) * mpf(2) ** (-prec + 8):
-            raise PrecisionFailure(
-                f"saddle residual {check} too large for n={n!r} at {prec} bits"
-            )
-        return +L
-
-
 def solve_L(n: Number, prec: int) -> BigReal:
     """Unique positive solution L(n) of n = L (pi e^L + 3/4), for n >= 2."""
     _require_prec(prec)
@@ -122,12 +86,14 @@ def _b1_raw(L: mpf) -> mpf:
 
 
 def b1_of(L: Union[BigReal, Number], prec: Optional[int] = None) -> BigReal:
-    """First correction coefficient b1 = (2L^4+9L^3+16L^2+6L+2)/(24(L+1)^3)."""
+    """First correction coefficient b1 = (2L^4+9L^3+16L^2+6L+2)/(24(L+1)^3).
+
+    ``prec`` defaults to the precision of a :class:`BigReal` L; a plain
+    number needs it, so mpmath's global precision never sets it.
+    """
     if isinstance(L, BigReal):
-        prec = prec or L.prec_bits
+        prec = L.prec_bits if prec is None else prec
         L = L.value
-    if prec is None:
-        prec = mpmath.mp.prec
     _require_prec(prec)
     with workprec(prec + 16):
         L_mp = mpf(L)

@@ -36,6 +36,8 @@ from mpmath import mpf, workprec
 from . import __version__
 from .asymptotics import gamma_hat
 from .jensen import (
+    D4_CHECK_NAMES,
+    D4_MIN_N,
     DEFAULT_LADDER,
     Poly,
     certify,
@@ -325,22 +327,19 @@ def _cmd_find_n(args: argparse.Namespace, parser: _Parser) -> int:
     return EXIT_OK
 
 
-_D4_CHECK_NAMES = ("beta3_in_band", "beta1_in_band", "beta4_in_band",
-                   "beta2_in_band", "beta0_in_band")
-
-
 def _cmd_effective(args: argparse.Namespace, parser: _Parser) -> int:
     n_values = _parse_range(args.n_range, "shift", parser)
-    valid = [n for n in n_values if n >= 100]
-    dropped = [n for n in n_values if n < 100]
+    valid = [n for n in n_values if n >= D4_MIN_N]
+    dropped = len(n_values) - len(valid)
     if dropped:
         print(
-            f"warning: the degree-4 template is stated for n >= 100; "
-            f"dropping {len(dropped)} value(s) below 100",
+            f"warning: the degree-4 template is stated for n >= {D4_MIN_N}; "
+            f"dropping {dropped} value(s) below {D4_MIN_N}",
             file=sys.stderr,
         )
     if n_values and not valid:
-        parser.error("no shifts >= 100 in range (template is stated for n >= 100)")
+        parser.error(f"no shifts >= {D4_MIN_N} in range "
+                     f"(template is stated for n >= {D4_MIN_N})")
     seq = _provider_for("zeta", args.cache_dir)
     _warm_jensen(seq, [4], valid, args.prec)
     report = effective_check_d4(valid, seq=seq, prec=args.prec)
@@ -350,12 +349,12 @@ def _cmd_effective(args: argparse.Namespace, parser: _Parser) -> int:
         entry: Dict[str, str] = {"n": str(row.n), "delta": _fixed_trunc(row.delta, 8)}
         for k, b in enumerate(row.beta):
             entry[f"beta{k}"] = _fixed_trunc(b, 6)
-        for name, ok in zip(_D4_CHECK_NAMES, row.checks):
+        for name, ok in zip(D4_CHECK_NAMES, row.checks):
             entry[name] = "pass" if ok else "FAIL"
         entry["all_hold"] = "pass" if row.all_hold else "FAIL"
         rows.append(entry)
     columns = (["n", "delta"] + [f"beta{k}" for k in range(5)]
-               + list(_D4_CHECK_NAMES) + ["all_hold"])
+               + list(D4_CHECK_NAMES) + ["all_hold"])
     meta = {"command": "effective", "prec_bits": args.prec,
             "first_all_hold": report.first_all_hold, "version": __version__}
     _emit(rows, columns, args.format, meta, sys.stdout)

@@ -38,7 +38,7 @@ import mpmath
 from mpmath import mpf, workprec
 
 from .zeta_core import MIN_PREC, BigReal, DomainError, PrecisionFailure
-from .sequences import SequenceProvider, zeta_gamma_provider
+from .sequences import SequenceProvider, _rounded, zeta_gamma_provider
 
 __all__ = [
     "ConvergenceRow",
@@ -147,10 +147,8 @@ def make_rational_poly(coeffs: Sequence) -> RationalPoly:
 
 
 def poly_from_rational(rp: RationalPoly, prec: int) -> Poly:
-    """Round an exact polynomial to a Poly at ``prec`` bits."""
-    with workprec(prec):
-        vals = [+(mpf(c.numerator) / c.denominator) for c in rp.coeffs]
-    return Poly(coeffs=tuple(vals), prec_bits=prec)
+    """Round an exact polynomial to a Poly at ``prec`` bits, each coefficient once."""
+    return Poly(coeffs=tuple(_rounded(c, prec).value for c in rp.coeffs), prec_bits=prec)
 
 
 def _mpf_to_fraction(x: mpf) -> Fraction:
@@ -708,7 +706,7 @@ class EffectiveRow:
     n: int
     beta: Tuple[mpf, ...]  # beta_0 .. beta_4
     delta: mpf
-    checks: Tuple[bool, ...]  # the five printed inequalities, beta_3/1/4/2/0 order
+    checks: Tuple[bool, ...]  # the five printed inequalities, in D4_CHECK_NAMES order
 
     @property
     def all_hold(self) -> bool:
@@ -721,6 +719,11 @@ class EffectiveReport:
     first_all_hold: Optional[int]
 
 
+#: Least shift n for which the degree-4 template is stated.
+D4_MIN_N = 100
+#: Names of the template's inequalities, in the order of ``EffectiveRow.checks``.
+D4_CHECK_NAMES = ("beta3_in_band", "beta1_in_band", "beta4_in_band",
+                  "beta2_in_band", "beta0_in_band")
 _D4_CONSTS = ("28", "145.70", "16.05", "16.20", "16.01")
 
 
@@ -731,8 +734,8 @@ def effective_check_d4(
 ) -> EffectiveReport:
     """Check the degree-4 inequality template on the zeta sequence.
 
-    For each n >= 100 verifies, with beta_k the coefficients of hat J^{4,n}
-    and delta = delta(n):
+    For each n >= D4_MIN_N (100) verifies, with beta_k the coefficients of
+    hat J^{4,n} and delta = delta(n):
 
         0 < beta_3 < 28 delta          -145.70 delta < beta_1 < 0
         1 - 16.05 delta^2 < beta_4 < 1
@@ -746,8 +749,8 @@ def effective_check_d4(
     c28, c1457, c1605, c1620, c1601 = (mpf(s) for s in _D4_CONSTS)
     rows: List[EffectiveRow] = []
     for n in n_values:
-        if n < 100:
-            raise DomainError(f"effective_check_d4 is stated for n >= 100, got {n}")
+        if n < D4_MIN_N:
+            raise DomainError(f"effective_check_d4 is stated for n >= {D4_MIN_N}, got {n}")
         poly = renormalize(seq, 4, n, prec)
         with workprec(prec):
             delta = seq.params.delta_of_n(n, prec)

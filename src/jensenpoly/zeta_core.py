@@ -13,7 +13,8 @@ reduces to the classical theta-integral representation on (1, oo):
 
 After u = log t the F-integrand becomes  u^n e^(u/4) theta0(e^u),  a sharply
 peaked unimodal bump whose maximum sits near the saddle point u = L(n), the
-positive root of  n = L (pi e^L + 3/4)  (solved in :mod:`.asymptotics`).  By
+positive root of  n = L (pi e^L + 3/4), which ``_solve_L_raw`` finds by
+Newton's method (:mod:`.asymptotics` builds its public saddle data on it).  By
 linearity the two F integrals of gamma(n) merge into one, with W = 32 C(2n,2):
 
     gamma(n) = (n!/(2n)!) int_0^oo u^(2n-2) (W - u^2) e^(u/4) theta0(e^u) du / 2^(2n-1)
@@ -181,11 +182,44 @@ def theta0(t: Number, prec: int) -> BigReal:
 # F(n) quadrature
 # ---------------------------------------------------------------------------
 
-def _saddle_log(n: Number, prec: int) -> mpf:
-    """Positive root L of n = L (pi e^L + 3/4); lazy import breaks the cycle."""
-    from .asymptotics import _solve_L_raw
+def _solve_L_raw(n: Number, prec: int) -> mpf:
+    """Newton iteration for the positive root of n = L (pi e^L + 3/4).
 
-    return _solve_L_raw(n, prec)
+    Start from L0 = log(n / log n) (valid for n >= 3, clamped otherwise); the
+    map is monotone increasing in L > 0 so a half-step fallback keeps the
+    iterate positive.  Residual is verified to 2^(-prec+8) * n.
+    """
+    with workprec(prec + 20):
+        n_mp = mpf(n)
+        if n_mp <= 0:
+            raise DomainError(f"saddle solver requires n > 0, got {n!r}")
+        if n_mp > 3:
+            L = mpmath.log(n_mp / mpmath.log(n_mp))
+        else:
+            L = mpf(1) / 2
+        if L <= 0:
+            L = mpf(1) / 2
+        tol = mpf(2) ** (-prec - 10)
+        for _iteration in range(prec + 80):
+            e_l = mpmath.exp(L)
+            residual = L * (mpmath.pi * e_l + mpf(3) / 4) - n_mp
+            slope = mpmath.pi * e_l * (1 + L) + mpf(3) / 4
+            step = residual / slope
+            nxt = L - step
+            if nxt <= 0:
+                nxt = L / 2
+            if abs(nxt - L) < abs(L) * tol:
+                L = nxt
+                break
+            L = nxt
+        else:
+            raise PrecisionFailure(f"saddle solver did not converge for n={n!r}")
+        check = abs(L * (mpmath.pi * mpmath.exp(L) + mpf(3) / 4) - n_mp)
+        if check > abs(n_mp) * mpf(2) ** (-prec + 8):
+            raise PrecisionFailure(
+                f"saddle residual {check} too large for n={n!r} at {prec} bits"
+            )
+        return +L
 
 
 def _ceil_log2(x: mpf) -> int:
@@ -296,7 +330,7 @@ def _peak_window(f, n: Number, u_peak: mpf, ce: Optional[int],
 def _rule(n: Number, prec: int) -> Tuple[mpf, Optional[int]]:
     """(u_peak, ce): the saddle L(n) (0 at n = 0) and the map scale c = 2^ce,
     None on the plain side (5 n >= prec)."""
-    u_peak = _saddle_log(n, 64) if n > 0 else mpf(0)
+    u_peak = _solve_L_raw(n, 64) if n > 0 else mpf(0)
     if 5 * n >= prec:
         return u_peak, None
     with workprec(64):

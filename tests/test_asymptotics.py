@@ -82,6 +82,17 @@ class TestGammaHat:
         L = solve_L(50, 128)
         assert mpmath.isfinite(b1_of(L).value)
 
+    def test_b1_needs_explicit_prec(self):
+        expected = b1_of(2.5, 128)
+        with workprec(200):
+            with pytest.raises(DomainError, match="prec"):
+                b1_of(2.5)
+            assert b1_of(2.5, 128) == expected
+        with pytest.raises(DomainError, match="prec"):
+            b1_of(solve_L(50, 128), 0)
+        with workprec(256):
+            assert rel_close(expected.value, mpf(1343) / 4116, 120)  # b1(5/2)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             gamma_hat(1, 128)

@@ -9,6 +9,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 from mpmath import mpf, workprec
+from mpmath.libmp import from_rational, round_nearest
 
 from jensenpoly.jensen import (
     DEFAULT_LADDER,
@@ -63,6 +64,12 @@ class TestContainers:
         p = poly_from_rational(rp, 128)
         assert isinstance(p, Poly)
         assert p(0) == mpf("-0.25")
+
+    def test_round_from_rational_once(self):
+        q = Fraction(703868111321312405673397568678, 5)
+        p = poly_from_rational(_rp(1, q), 64)
+        exact = from_rational(q.numerator, q.denominator, 64, round_nearest)
+        assert p.coeffs[0]._mpf_ == exact
 
 
 class TestJensenPoly:

@@ -40,7 +40,6 @@ from mpmath import mpf, workprec
 from .zeta_core import (
     BigReal,
     DomainError,
-    GammaValue,
     Number,
     PrecisionFailure,
     _require_prec,
@@ -127,7 +126,7 @@ def F_hat(n: Number, prec: int) -> BigReal:
         return BigReal(+raw, prec)
 
 
-def gamma_hat(n: int, prec: int) -> GammaValue:
+def gamma_hat(n: int, prec: int) -> BigReal:
     """Asymptotic gamma(n): (n!/(2n)!) 2^(6-2n) C(2n,2) F_hat(2n-2)."""
     if not isinstance(n, int) or n < 2:
         raise DomainError(f"gamma_hat requires an integer n >= 2, got {n!r}")
@@ -142,7 +141,7 @@ def gamma_hat(n: int, prec: int) -> GammaValue:
             * f_hat
         )
     with workprec(prec):
-        return GammaValue(n=n, value=BigReal(+value, prec), source="asymptotic")
+        return BigReal(+value, prec)
 
 
 # ---------------------------------------------------------------------------
@@ -330,19 +329,11 @@ def zeta_A_delta(n: int, prec: int) -> Tuple[BigReal, BigReal]:
         return BigReal(+a_val, prec), BigReal(+delta, prec)
 
 
-def _as_mpf(value) -> mpf:
-    if isinstance(value, GammaValue):
-        return value.value.value
-    if isinstance(value, BigReal):
-        return value.value
-    return mpf(value)
-
-
 def C_of(
     n: int,
     j: int,
     prec: int,
-    gamma_fn: Optional[Callable[[int, int], object]] = None,
+    gamma_fn: Optional[Callable[[int, int], BigReal]] = None,
 ) -> BigReal:
     """Consistency functional C(n, j) = n^(3/2) (gamma(n+j) e^(d^2 j^2 - A j) / gamma(n) - 1).
 
@@ -364,8 +355,8 @@ def C_of(
         gamma_fn = gamma_exact
 
     wp = prec + 32
-    g_n = _as_mpf(gamma_fn(n, wp))
-    g_nj = _as_mpf(gamma_fn(n + j, wp))
+    g_n = gamma_fn(n, wp).value
+    g_nj = gamma_fn(n + j, wp).value
     with workprec(wp):
         a_val, delta = _zeta_A_delta_raw(n, wp)
         ratio = g_nj / g_n * mpmath.exp(delta**2 * j**2 - a_val * j)

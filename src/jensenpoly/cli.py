@@ -208,7 +208,7 @@ def _cmd_gamma(args: argparse.Namespace, parser: _Parser) -> int:
             g = provider.value_at(n, args.prec).value
             row["gamma"] = _sci_trunc(g, 11)
         if mode in ("asymptotic", "compare"):
-            gh = gamma_hat(n, args.prec).value.value
+            gh = gamma_hat(n, args.prec).value
             row["gamma_hat"] = _sci_trunc(gh, 11)
         if mode == "compare":
             with workprec(args.prec):
@@ -375,7 +375,7 @@ def _cmd_tables(args: argparse.Namespace, parser: _Parser) -> int:
     if "gamma" in groups:
         for n in (10, 100, 1000):
             g = zeta.value_at(n, args.prec).value
-            gh = gamma_hat(n, args.prec).value.value
+            gh = gamma_hat(n, args.prec).value
             with workprec(args.prec):
                 ratio = g / gh
             rows.append({
@@ -423,9 +423,13 @@ def _cmd_cache(args: argparse.Namespace, parser: _Parser) -> int:
         )
     cache = GammaCache(args.cache_dir)
     if args.action == "clear":
-        n_before = len(cache.entries())
+        # Clearing is how a user recovers from an unreadable cache.
+        try:
+            what = f"{len(cache.entries())} record(s)"
+        except CacheFormatError:
+            what = "an unreadable cache"
         cache.clear()
-        print(f"cleared {n_before} record(s) from {cache.path}")
+        print(f"cleared {what} from {cache.path}")
         return EXIT_OK
     entries = cache.entries()
     rows = [

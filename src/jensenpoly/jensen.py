@@ -99,10 +99,7 @@ class Poly:
         return len(self.coeffs) - 1
 
     def __call__(self, x) -> mpf:
-        acc = mpf(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return _horner(self.coeffs, x)
 
 
 @dataclass(frozen=True)
@@ -122,10 +119,15 @@ class RationalPoly:
         return len(self.coeffs) - 1
 
     def __call__(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return _horner(self.coeffs, x)
+
+
+def _horner(coeffs: Sequence, x):
+    """sum_i coeffs[i] x^i by Horner's rule, in the ring of x and the coefficients."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def _trim(coeffs: Sequence) -> list:
@@ -149,21 +151,6 @@ def make_rational_poly(coeffs: Sequence) -> RationalPoly:
 def poly_from_rational(rp: RationalPoly, prec: int) -> Poly:
     """Round an exact polynomial to a Poly at ``prec`` bits, each coefficient once."""
     return Poly(coeffs=tuple(_rounded(c, prec).value for c in rp.coeffs), prec_bits=prec)
-
-
-def _mpf_to_fraction(x: mpf) -> Fraction:
-    """Exact dyadic value of an mpf."""
-    sign, man, exp, _bc = x._mpf_
-    man = int(man)
-    if man == 0:
-        return Fraction(0)
-    val = Fraction(man, 1) * (Fraction(2) ** exp)
-    return -val if sign else val
-
-
-def rational_from_poly(p: Poly) -> RationalPoly:
-    """Exact dyadic rational lift of a Poly (mpf coefficients are exact binary)."""
-    return make_rational_poly([_mpf_to_fraction(c) for c in p.coeffs])
 
 
 # ---------------------------------------------------------------------------
@@ -419,10 +406,9 @@ def _poly_gcd_frac(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
     return a
 
 
-def squarefree_part(p: Union[RationalPoly, Poly]) -> RationalPoly:
+def squarefree_part(p: RationalPoly) -> RationalPoly:
     """p / gcd(p, p') — same root set, all roots simple (exact arithmetic)."""
-    rp = p if isinstance(p, RationalPoly) else rational_from_poly(p)
-    c = list(rp.coeffs)
+    c = list(p.coeffs)
     if len(c) <= 2:
         return make_rational_poly(c)
     g = _poly_gcd_frac(c, _poly_derivative_frac(c))
@@ -434,30 +420,28 @@ def squarefree_part(p: Union[RationalPoly, Poly]) -> RationalPoly:
     return make_rational_poly(q)
 
 
-def cauchy_bound(p: Union[RationalPoly, Poly]) -> Fraction:
+def cauchy_bound(p: RationalPoly) -> Fraction:
     """1 + max |a_i / a_d|: all real roots lie in (-B, B]."""
-    rp = p if isinstance(p, RationalPoly) else rational_from_poly(p)
-    lead = rp.coeffs[-1]
+    lead = p.coeffs[-1]
     if lead == 0:
         raise ValueError("zero leading coefficient")
-    m = max((abs(c / lead) for c in rp.coeffs[:-1]), default=Fraction(0))
+    m = max((abs(c / lead) for c in p.coeffs[:-1]), default=Fraction(0))
     return 1 + m
 
 
-def sturm_count(p: Union[RationalPoly, Poly], lo, hi) -> int:
+def sturm_count(p: RationalPoly, lo, hi) -> int:
     """Number of distinct real roots of squarefree ``p`` in (lo, hi].
 
     Exact rational Sturm chain.  Raises :class:`DegenerateChainError` when a
     remainder vanishes identically (input not squarefree); callers deflate
     with :func:`squarefree_part` first.
     """
-    rp = p if isinstance(p, RationalPoly) else rational_from_poly(p)
     lo, hi = Fraction(lo), Fraction(hi)
     if lo >= hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    chain: List[List[Fraction]] = [list(rp.coeffs)]
-    if rp.degree >= 1:
-        chain.append(_poly_derivative_frac(list(rp.coeffs)))
+    chain: List[List[Fraction]] = [list(p.coeffs)]
+    if p.degree >= 1:
+        chain.append(_poly_derivative_frac(list(p.coeffs)))
         while len(chain[-1]) > 1:
             _, r = _poly_divmod_frac(chain[-2], chain[-1])
             if len(r) == 1 and r[0] == 0:
@@ -466,21 +450,15 @@ def sturm_count(p: Union[RationalPoly, Poly], lo, hi) -> int:
                 )
             chain.append([-c for c in r])
 
-    def _eval(c: List[Fraction], x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for v in reversed(c):
-            acc = acc * x + v
-        return acc
-
     def _variations(x: Fraction) -> int:
         signs = []
         for c in chain:
-            v = _eval(c, x)
+            v = _horner(c, x)
             if v != 0:
                 signs.append(1 if v > 0 else -1)
         return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
-    if _eval(list(rp.coeffs), lo) == 0 or _eval(list(rp.coeffs), hi) == 0:
+    if p(lo) == 0 or p(hi) == 0:
         raise ValueError("interval endpoints must not be roots")
     return _variations(lo) - _variations(hi)
 
@@ -585,8 +563,10 @@ def _renormalizes(seq: SequenceProvider, n: int) -> bool:
 
 
 # A value warm-up asks for the reads of every (d, n) it will certify, and then
-# renormalize asks again on the first rung; both get one delta(n) probe.
-@functools.lru_cache(maxsize=4096)
+# renormalize asks again on the first rung; both get one delta(n) probe.  The
+# warm-up fills the memo before certify reads it back, so it must hold a whole
+# sweep: 2^16 entries cover d = 1..8 over 8,192 shifts.
+@functools.lru_cache(maxsize=1 << 16)
 def _renormalized_read_prec(params, d: int, n: int, prec: int) -> int:
     probe = params.delta_of_n(n, 64)
     return prec + d * max(0, -int(mpmath.mag(probe))) + 48
@@ -630,7 +610,7 @@ def certify(
 
 
 class FindNResult(int):
-    """Smallest N with every shift in [N, n_max] hyperbolic; int-compatible.
+    """Smallest N >= seq.first_n with every shift in [N, n_max] hyperbolic; int-compatible.
 
     ``last_failing`` is the largest non-hyperbolic shift (None when all
     shifts scanned were hyperbolic).
@@ -656,17 +636,17 @@ def find_N(
     n_max: int,
     ladder: Sequence[int] = DEFAULT_LADDER,
 ) -> FindNResult:
-    """Scan n = 0..n_max; return the least N with [N, n_max] all hyperbolic.
+    """Scan n = seq.first_n..n_max; return the least N with [N, n_max] all hyperbolic.
 
     Each shift goes through :func:`certify`; an indeterminate verdict after
     the full ladder raises :class:`~jensenpoly.zeta_core.PrecisionFailure`.
     """
     if d < 1:
         raise DomainError(f"find_N requires d >= 1, got {d}")
-    if n_max < 0:
-        raise DomainError(f"find_N requires n_max >= 0, got {n_max}")
+    if n_max < seq.first_n:
+        raise DomainError(f"find_N requires n_max >= {seq.first_n}, got {n_max}")
     last_failing: Optional[int] = None
-    for n in range(n_max + 1):
+    for n in range(seq.first_n, n_max + 1):
         cert = certify(seq, d, n, ladder)
         if cert.verdict == "indeterminate":
             raise PrecisionFailure(
@@ -674,7 +654,7 @@ def find_N(
             )
         if cert.verdict == "not_hyperbolic":
             last_failing = n
-    return FindNResult(0 if last_failing is None else last_failing + 1,
+    return FindNResult(seq.first_n if last_failing is None else last_failing + 1,
                        last_failing, n_max)
 
 

@@ -111,18 +111,7 @@ def decimal_mantissa(x: mpf, digits: int, mode: str = "round") -> Tuple[str, str
         raise ValueError(f"mode must be 'round' or 'trunc', got {mode!r}")
     if x == 0:
         return "+", "0", 0
-    if hasattr(x, "_mpf_"):
-        tup = x._mpf_
-    else:
-        # exact conversions only: never round through the global context
-        if isinstance(x, float):
-            tup = mpmath.mpf(x)._mpf_  # binary floats convert exactly
-        elif isinstance(x, int):
-            with workprec(max(MIN_PREC, x.bit_length() + 8)):
-                tup = mpmath.mpf(x)._mpf_
-        else:
-            raise TypeError(f"decimal_mantissa expects mpf/float/int, got {type(x)!r}")
-    sign_bit, man, exp, bc = tup
+    sign_bit, man, exp, bc = x._mpf_
     man = int(man)  # gmpy2 mpz -> int for uniform bigint arithmetic
     sign = "-" if sign_bit else "+"
     div = _round_div if mode == "round" else _trunc_div
@@ -358,22 +347,17 @@ class SequenceProvider:
     present) returns the exact rational value (an int or a Fraction) and
     enables the exact-rational certification path.  ``params`` carries the
     (A, delta) formulas used by renormalization, or None when unknown (user
-    files without parameters).
+    files without parameters).  ``first_n`` is the least index the sequence
+    is defined at.
     ``cache`` is the value cache behind ``value_at``, when there is one.
     """
 
-    kind: str  # zeta_gamma | partition | user_file
     value_at: Callable[[int, int], BigReal]
     exact_at: Optional[Callable[[int], Union[int, Fraction]]]
     params: Optional[AsymParams]
     label: str
+    first_n: int
     cache: Optional[GammaCache] = None
-
-    _KINDS = ("zeta_gamma", "partition", "user_file")
-
-    def __post_init__(self) -> None:
-        if self.kind not in self._KINDS:
-            raise ValueError(f"kind must be one of {self._KINDS}, got {self.kind!r}")
 
 
 # -- partition numbers ------------------------------------------------------
@@ -418,11 +402,11 @@ def _rounded(q: Union[int, Fraction], prec: int) -> BigReal:
 def partition_provider() -> SequenceProvider:
     """Provider for p(n): exact integers plus the two-term growth parameters."""
     return SequenceProvider(
-        kind="partition",
         value_at=lambda n, prec: _rounded(partition(n), prec),
         exact_at=partition,
         params=partition_params(),
         label="partition",
+        first_n=0,
     )
 
 
@@ -445,16 +429,16 @@ def zeta_gamma_provider(
         hit = cache.get(n, prec)
         if hit is not None:
             return hit
-        value = gamma_exact(n, prec).value
+        value = gamma_exact(n, prec)
         cache.put_value(n, value, source="exact")
         return value
 
     return SequenceProvider(
-        kind="zeta_gamma",
         value_at=value_at,
         exact_at=None,
         params=zeta_params(),
         label="zeta-gamma",
+        first_n=1,
         cache=cache,
     )
 
@@ -547,11 +531,11 @@ def load_sequence(
         return values[n]
 
     return SequenceProvider(
-        kind="user_file",
         value_at=lambda n, prec: _rounded(exact_at(n), prec),
         exact_at=exact_at,
         params=params,
         label=p.name,
+        first_n=n0,
     )
 
 
@@ -579,22 +563,16 @@ def fit_growth_params(
     seq: SequenceProvider, n: int, prec: int = 128, j_max: int = 8
 ) -> FitResult:
     """Fit empirical (A, delta) at shift n from the next ``j_max`` ratios."""
-    import numpy as np
-
     if j_max < 2:
         raise ValueError("need at least two ratio points to fit two parameters")
     with workprec(prec + 16):
         base = seq.value_at(n, prec + 16).value
-        ys = []
-        for j in range(1, j_max + 1):
-            ratio = seq.value_at(n + j, prec + 16).value / base
-            ys.append(float(mpmath.log(ratio)))
-    js = np.arange(1, j_max + 1, dtype=float)
-    design = np.column_stack([js, -(js**2)])
-    coef, *_ = np.linalg.lstsq(design, np.array(ys), rcond=None)
-    a_fit, delta_sq = float(coef[0]), float(coef[1])
-    resid = np.array(ys) - design @ coef
-    rms = float(np.sqrt(np.mean(resid**2)))
+        ys = [mpmath.log(seq.value_at(n + j, prec + 16).value / base)
+              for j in range(1, j_max + 1)]
+        design = mpmath.matrix([[j, -j * j] for j in range(1, j_max + 1)])
+        coef, resid_norm = mpmath.qr_solve(design, mpmath.matrix(ys))
+        a_fit, delta_sq = float(coef[0]), float(coef[1])
+        rms = float(resid_norm / mpmath.sqrt(j_max))
     positive = delta_sq > 0
     return FitResult(
         A=a_fit,

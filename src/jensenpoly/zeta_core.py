@@ -35,9 +35,8 @@ two exps per node, e^(u/4) and q = exp(-pi e^u), and sums theta0's series as
 fixed-point integers.
 
 All public operations take an explicit binary precision ``prec`` (>= 64) and
-return :class:`BigReal` / :class:`GammaValue` values that are correctly
-rounded *results of the requested precision*, independent of the working
-precision used internally.
+return :class:`BigReal` values that are correctly rounded *results of the
+requested precision*, independent of the working precision used internally.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ from mpmath.libmp import (MPZ_ONE, fone, from_int, from_man_exp, mpf_abs, mpf_ad
 __all__ = [
     "MIN_PREC",
     "BigReal",
-    "GammaValue",
     "DomainError",
     "PrecisionFailure",
     "theta0",
@@ -114,19 +112,6 @@ class BigReal:
     def __str__(self) -> str:
         digits = max(1, int(self.prec_bits * 0.30103))
         return mpmath.nstr(self.value, digits)
-
-
-@dataclass(frozen=True)
-class GammaValue:
-    """One Taylor coefficient gamma(n) with provenance.
-
-    ``source`` is ``"exact_integral"`` (one quadrature of the merged, positive
-    integrand) or ``"asymptotic"`` (saddle-point approximation).
-    """
-
-    n: int
-    value: BigReal
-    source: str
 
 
 def _require_prec(prec: int) -> None:
@@ -475,7 +460,7 @@ def lambda_deriv_or_zero(n: int, prec: int) -> BigReal:
     return lambda_deriv(n, prec)
 
 
-def gamma_exact(n: int, prec: int) -> GammaValue:
+def gamma_exact(n: int, prec: int) -> BigReal:
     """Taylor coefficient gamma(n) from one quadrature of a positive integrand.
 
     gamma(n) = (n!/(2n)!) int_0^oo u^(2n-2) (W - u^2) e^(u/4) theta0(e^u) du
@@ -498,4 +483,4 @@ def gamma_exact(n: int, prec: int) -> GammaValue:
         rounded = +value
     if rounded <= 0:
         raise PrecisionFailure(f"gamma_exact({n}) lost positivity")
-    return GammaValue(n=n, value=BigReal(rounded, prec), source="exact_integral")
+    return BigReal(rounded, prec)

@@ -69,7 +69,7 @@ def test_criterion_1_gamma_table_all_displayed_digits(zeta_seq):
     prec = 192
     for n, (hat_ref, exact_ref, ratio_ref) in GAMMA_TABLE.items():
         g = zeta_seq.value_at(n, prec).value
-        gh = gamma_hat(n, prec).value.value
+        gh = gamma_hat(n, prec).value
         assert _sci_trunc(gh, 11) == hat_ref, f"n={n} asymptotic digits"
         assert _sci_trunc(g, 11) == exact_ref, f"n={n} exact digits"
         with workprec(prec):
@@ -335,12 +335,12 @@ def test_criterion_7_property_suites(zeta_seq, partition_seq, tmp_path):
 
     stable(lambda p: theta0(mpf("1.37"), p).value)
     stable(lambda p: F_exact(50, p).value)
-    stable(lambda p: gamma_exact(40, p).value.value)
+    stable(lambda p: gamma_exact(40, p).value)
     stable(lambda p: lambda_deriv(8, p).value)
     stable(lambda p: solve_L(500, p).value)
     stable(lambda p: b1_of(solve_L(500, p)).value)
     stable(lambda p: F_hat(123, p).value)
-    stable(lambda p: gamma_hat(60, p).value.value)
+    stable(lambda p: gamma_hat(60, p).value)
     stable(lambda p: [c.value for c in saddle_coeffs(30, 6, p)])
     stable(lambda p: [x.value for x in zeta_A_delta(120, p)])
     stable(lambda p: C_of(50, 3, p).value)

@@ -64,13 +64,13 @@ class TestSolveL:
 
 class TestGammaHat:
     def test_frozen_oracles(self):
-        assert rel_close(gamma_hat(10, 192).value.value, "1.63133743944625e-17", 45)
-        assert rel_close(gamma_hat(100, 192).value.value, "6.57764719040526e-205", 45)
+        assert rel_close(gamma_hat(10, 192).value, "1.63133743944625e-17", 45)
+        assert rel_close(gamma_hat(100, 192).value, "6.57764719040526e-205", 45)
 
     def test_ratio_tends_to_one(self):
         with workprec(256):
-            r100 = gamma_exact(100, 192).value.value / gamma_hat(100, 192).value.value
-            r1000 = gamma_exact(1000, 192).value.value / gamma_hat(1000, 192).value.value
+            r100 = gamma_exact(100, 192).value / gamma_hat(100, 192).value
+            r1000 = gamma_exact(1000, 192).value / gamma_hat(1000, 192).value
             assert abs(r1000 - 1) < abs(r100 - 1) < mpf("2e-5")
 
     def test_f_hat_tracks_f(self):

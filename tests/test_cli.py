@@ -228,6 +228,14 @@ class TestCacheCommand:
         assert "Traceback" not in res.stderr
         assert ":2: unparseable" in res.stderr
 
+    def test_clear_removes_corrupt_cache(self, tmp_path):
+        path = tmp_path / "zeta_gamma.cache"
+        path.write_text("garbage line\n")
+        res = run("cache", "clear", "--cache-dir", str(tmp_path))
+        assert res.returncode == 0, res.stderr
+        assert not path.exists()
+        assert res.stdout == f"cleared an unreadable cache from {path}\n"
+
     def test_torn_final_line_recovered(self, tmp_path):
         fill = run("gamma", "7", "--exact", "--cache-dir", str(tmp_path))
         with open(tmp_path / "zeta_gamma.cache", "a") as fh:

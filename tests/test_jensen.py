@@ -36,7 +36,7 @@ from jensenpoly.jensen import (
     _leading_minors,
     _scaled_power_sums,
 )
-from jensenpoly.sequences import load_sequence, partition
+from jensenpoly.sequences import load_sequence, partition, zeta_gamma_provider
 from jensenpoly.zeta_core import DomainError, PrecisionFailure
 
 
@@ -340,6 +340,14 @@ class TestFindN:
     def test_domain(self, partition_seq):
         with pytest.raises(DomainError):
             find_N(partition_seq, 0, 10)
+
+    def test_scan_starts_at_first_index(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("".join(f"{n},{partition(n)}\n" for n in range(1, 61)))
+        r = find_N(load_sequence(path), 2, 58)
+        assert int(r) == 25 and r.last_failing == 24
+        r = find_N(zeta_gamma_provider(None), 1, 3)
+        assert int(r) == 1 and r.last_failing is None
 
     @staticmethod
     def _file_sequence(tmp_path, values):

@@ -1,6 +1,8 @@
-"""Module layout: one declaration per public name, imports only downward."""
+"""Module layout: one declaration per public name, imports only downward,
+and no runtime dependency beyond the standard library and mpmath."""
 
 import ast
+import sys
 from pathlib import Path
 
 import jensenpoly
@@ -39,3 +41,17 @@ def test_layers_import_only_earlier_layers():
     for rank, name in enumerate(ORDER):
         for target in _relative_imports(src / f"{name}.py"):
             assert target in ORDER[:rank], f"{name} imports {target}"
+
+
+def test_runtime_imports_only_stdlib_and_mpmath():
+    allowed = set(sys.stdlib_module_names) | {"mpmath", "jensenpoly"}
+    for path in Path(jensenpoly.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                tops = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                tops = [node.module.split(".")[0]]
+            else:
+                continue
+            for top in tops:
+                assert top in allowed, f"{path.name}:{node.lineno} imports {top}"

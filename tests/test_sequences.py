@@ -52,7 +52,6 @@ class TestPartition:
 
     def test_provider_wiring(self):
         seq = partition_provider()
-        assert seq.kind == "partition"
         assert seq.exact_at is not None and seq.exact_at(5) == 7
         assert seq.params is not None and seq.params.n_min == 3
         v = seq.value_at(5, 96)
@@ -221,7 +220,6 @@ class TestLoadSequence:
     def test_csv_with_header(self, tmp_path):
         path = self._write_csv(tmp_path, [(0, 1), (1, 1), (2, 2), (3, 3)])
         seq = load_sequence(path)
-        assert seq.kind == "user_file"
         assert seq.exact_at(3) == 3
         assert seq.value_at(2, 96).value == 2
 

@@ -14,7 +14,6 @@ from jensenpoly.zeta_core import (
     BigReal,
     DomainError,
     F_exact,
-    GammaValue,
     PrecisionFailure,
     gamma_exact,
     lambda_deriv,
@@ -65,8 +64,7 @@ class TestBigReal:
 
     def test_gamma_value_carries_metadata(self):
         g = gamma_exact(3, 64)
-        assert isinstance(g, GammaValue)
-        assert g.n == 3 and g.source == "exact_integral"
+        assert isinstance(g, BigReal) and g.prec_bits == 64
 
 
 class TestTheta0:
@@ -237,13 +235,13 @@ class TestFIntegral:
 
 class TestGammaExact:
     def test_frozen_oracles(self):
-        g10 = gamma_exact(10, 128).value.value
-        g100 = gamma_exact(100, 128).value.value
+        g10 = gamma_exact(10, 128).value
+        g100 = gamma_exact(100, 128).value
         assert rel_close(g10, "1.63233804903014e-17", 45)
         assert rel_close(g100, "6.57772637858207e-205", 45)
 
     def test_positive_and_tiny(self):
-        g = gamma_exact(25, 64).value.value
+        g = gamma_exact(25, 64).value
         assert 0 < g < 1
 
     def test_domain(self):
@@ -255,8 +253,8 @@ class TestGammaExact:
             gamma_exact(5, 32)
 
     def test_precision_ladder_stable(self):
-        lo = gamma_exact(40, 128).value.value
-        hi = gamma_exact(40, 256).value.value
+        lo = gamma_exact(40, 128).value
+        hi = gamma_exact(40, 256).value
         assert rel_close(lo, hi, 120)
 
     @pytest.mark.parametrize("n, guard", [(2, 64), (10, 256), (32, 512)])
@@ -282,7 +280,7 @@ class TestGammaExact:
             lam = [sum(exp_c[j] * zeta_c[k - j] for j in range(k + 1))
                    for k in range(top + 1)]
             oracle = math.factorial(n) * (4 * lam[top - 2] - lam[top])
-        assert rel_close(gamma_exact(n, prec).value.value, oracle, prec - 16)
+        assert rel_close(gamma_exact(n, prec).value, oracle, prec - 16)
 
     @pytest.mark.parametrize("n", [1, 12, 33, 100])
     def test_two_integral_formula(self, n):
@@ -293,7 +291,7 @@ class TestGammaExact:
             f_hi = F_exact(2 * n, 224).value
             ref = (32 * math.comb(2 * n, 2) * f_lo - f_hi) * math.factorial(n) \
                 / (math.factorial(2 * n) * mpf(2) ** (2 * n - 1))
-        assert rel_close(gamma_exact(n, 192).value.value, ref, 176)
+        assert rel_close(gamma_exact(n, 192).value, ref, 176)
 
     def test_one_quadrature_per_value(self, monkeypatch):
         # A precision no other test uses, so no earlier value can be reused.
@@ -315,13 +313,13 @@ class TestGammaExact:
         # nodes of a neighbour or of a value at another precision; 12 and 40
         # take the mapped rule at 512 bits, 105 the plain one at 272.
         count = theta0_counter(monkeypatch)
-        alone = gamma_exact(n, prec).value.value._mpf_
+        alone = gamma_exact(n, prec).value._mpf_
         cost_alone = count()
         for before, before_prec in [(n - 1, prec), (n + 1, prec), (n, prec - 64)]:
             zeta_core._node_memo = None
             gamma_exact(before, before_prec)
             start = count()
-            assert gamma_exact(n, prec).value.value._mpf_ == alone
+            assert gamma_exact(n, prec).value._mpf_ == alone
             if before_prec == prec:  # a neighbour's nodes are reused
                 assert count() - start < cost_alone / 2
 
@@ -338,8 +336,8 @@ class TestGammaExact:
     def test_1024_bit_rung(self, n):
         # Near m = 64 at 1024 bits the plain trapezoid did not settle (n = 33)
         # or needed some 426k integrand evaluations (n = 40).
-        top = gamma_exact(n, 1024).value.value
-        assert rel_close(top, gamma_exact(n, 512).value.value, 496)
+        top = gamma_exact(n, 1024).value
+        assert rel_close(top, gamma_exact(n, 512).value, 496)
 
 
 class TestLambdaDeriv:
@@ -378,5 +376,5 @@ class TestLambdaDeriv:
                     / math.factorial(2 * n)
                     * (8 * n * (2 * n - 1) * d_lo - d_hi)
                 )
-                direct = gamma_exact(n, prec).value.value
+                direct = gamma_exact(n, prec).value
             assert rel_close(combo, direct, prec - 24)

@@ -16,11 +16,11 @@ The pipeline this module implements:
 * ``read_prec``          — the precision at which a certificate reads its
                            sequence values, for value warm-ups.
 * ``is_hyperbolic``      — certified real-rootedness via the Hankel matrix of
-                           Newton power sums: one Bareiss elimination of its
-                           leading minors, over the integers on rational
-                           input (Sturm fallback on a vanishing minor) or
-                           over intervals on floating input (``indeterminate``
-                           on an undecided minor).
+                           Newton power sums, whose minors one Bareiss pass
+                           reads off the congruent Bezoutian B(p, p'), over
+                           the integers on rational input (Sturm fallback on
+                           a vanishing minor) or over intervals on floating
+                           input (``indeterminate`` on an undecided minor).
 * ``find_N``             — least N with every shift in [N, n_max] hyperbolic.
 * ``convergence_report`` / ``effective_check_d4`` — table diagnostics.
 """
@@ -314,61 +314,60 @@ def _margin_big(x) -> BigReal:
 
 def _int_coeffs(rp: RationalPoly) -> List[int]:
     """Clear denominators and content; hyperbolicity is scale-invariant."""
-    den_lcm = 1
-    for c in rp.coeffs:
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    ints = [int(c * den_lcm) for c in rp.coeffs]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
+    den_lcm = math.lcm(*[c.denominator for c in rp.coeffs])
+    ints = [c.numerator * (den_lcm // c.denominator) for c in rp.coeffs]
+    g = math.gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints
 
 
-def _scaled_power_sums(a: list, count: int) -> list:
-    """t_k = s_k * a_d^k for k = 0..count-1 via Newton's identities.
-
-    Generic over the coefficient ring: exact integers or mpmath intervals.
-    a[i] multiplies X^i, a[-1] != 0.
+def _bezoutian(a: list) -> list:
+    """Upper triangle (j >= i) of the Bezout matrix of p and p', reversed:
+    [i][j] = B_{d-1-i,d-1-j}, where (p(x) p'(y) - p(y) p'(x)) / (x - y) =
+    sum B_ij x^i y^j.  Filled by B_{i,j} = c_{i+1,j} + B_{i+1,j-1} with c_pq =
+    a_p g_q - a_q g_p, g = p', over any ring (integers or mpmath intervals).
     """
     d = len(a) - 1
-    ad = a[d]
-    ad_pows = [ad ** 0]  # the ring's own 1
-    for _ in range(count):
-        ad_pows.append(ad_pows[-1] * ad)
-    t = [d * ad_pows[0]]  # t_0 = s_0 = d
-    for k in range(1, count):
-        acc = k * a[d - k] * ad_pows[k - 1] if k <= d else 0
-        for i in range(1, min(k, d + 1)):
-            acc += a[d - i] * ad_pows[i - 1] * t[k - i]
-        t.append(-acc)
-    return t
+    g = [i * a[i] for i in range(1, d + 1)] + [0]
+    M = [[0] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i, d):
+            p, q = d - i, d - 1 - j
+            M[i][j] = a[p] * g[q] - a[q] * g[p] + (M[i - 1][j + 1] if i and q else 0)
+    return M
 
 
-def _leading_minors(t: list, d: int, div: Callable) -> list:
-    """Leading principal minors of the d x d Hankel matrix (t_{i+j}) by Bareiss.
+def _leading_minors(M: list, div: Callable) -> list:
+    """Leading principal minors of the symmetric matrix M by Bareiss, in place.
 
     Fraction-free over any integral domain: the k-th pivot is the k-th
     leading minor, and ``div`` is the ring's exact division (floor division
     on integers, true division on intervals).  Stops after the first minor
     for which ``pivot > 0`` is not True; an undecided interval comparison
-    gives None.  The matrix stays symmetric, so only its upper triangle is
-    updated.
+    gives None.  M stays symmetric, so only its upper triangle is read.
     """
-    M = [[t[i + j] for j in range(d)] for i in range(d)]
-    minors = []
-    prev = 1
-    for k in range(d):
-        pivot = M[k][k]
+    minors, prev = [], 1
+    for k, row in enumerate(M):
+        pivot = row[k]
         minors.append(pivot)
         if (pivot > 0) is not True:
             break
-        for i in range(k + 1, d):
-            for j in range(i, d):
-                M[i][j] = div(M[i][j] * pivot - M[k][i] * M[k][j], prev)
+        for i in range(k + 1, len(M)):
+            for j in range(i, len(M)):
+                M[i][j] = div(M[i][j] * pivot - row[i] * row[j], prev)
         prev = pivot
     return minors
+
+
+def _hankel_minors(a: list, div: Callable) -> list:
+    """Leading minors of (t_{i+j}), t_k = s_k a_d^k (s_k: Newton power sums of p),
+    up to the first that is not positive.  The Bezoutian is congruent to this
+    Hankel form, and its k-th leading minor is a_d^(k(3-k)) times the Hankel
+    one: an even power, so signs and the stop agree, while its pivots grow
+    like a_d^(2k), not a_d^(k(k-1)).
+    """
+    ad = a[-1]
+    return [div(m, ad * ad) if k <= 2 else m * ad ** (k * (k - 3))
+            for k, m in enumerate(_leading_minors(_bezoutian(a), div), 1)]
 
 
 def _poly_derivative_frac(c: List[Fraction]) -> List[Fraction]:
@@ -468,9 +467,7 @@ def _exact_certificate(rp: RationalPoly) -> HyperbolicityCertificate:
     if d == 0:
         return HyperbolicityCertificate("hyperbolic", "hermite_hankel_exact",
                                         _margin_big(1), 0)
-    a = _int_coeffs(rp)
-    t = _scaled_power_sums(a, 2 * d - 1)
-    minors = _leading_minors(t, d, operator.floordiv)
+    minors = _hankel_minors(_int_coeffs(rp), operator.floordiv)
     last = minors[-1]
     if last > 0:  # the elimination stops at the first non-positive minor
         return HyperbolicityCertificate(
@@ -503,8 +500,7 @@ def _interval_certificate(p: Poly) -> HyperbolicityCertificate:
     try:
         iv.prec = p.prec_bits + 32
         a = [iv.mpf(c) for c in p.coeffs]  # exact point intervals
-        t = _scaled_power_sums(a, 2 * d - 1)
-        minors = _leading_minors(t, d, operator.truediv)
+        minors = _hankel_minors(a, operator.truediv)
         last = minors[-1]
         if last.a > 0:  # the elimination stops at the first undecided minor
             verdict, margin = "hyperbolic", min(mpf(m.a) for m in minors)
@@ -523,10 +519,12 @@ def is_hyperbolic(p: Union[Poly, RationalPoly]) -> HyperbolicityCertificate:
     """Certified test that every root of p is real.
 
     Hermite's criterion: p (degree d) is real-rooted iff the d x d Hankel
-    matrix of Newton power sums is positive semidefinite.  Exact input gets
-    integer fraction-free minors (definitive verdict, Sturm fallback for
-    degenerate chains); floating input gets interval-certified minors and may
-    return ``indeterminate``, in which case callers escalate precision.
+    matrix of Newton power sums is positive semidefinite.  The reversed Bezout
+    matrix of p and p' is congruent to it, with k-th leading minor a_d^(k(3-k))
+    times the Hankel one, so one Bareiss pass over it gives every sign.  Exact
+    input gets integer fraction-free minors (definitive verdict, Sturm fallback
+    for degenerate chains); floating input gets interval-certified minors and
+    may return ``indeterminate``, in which case callers escalate precision.
     """
     if isinstance(p, RationalPoly):
         return _exact_certificate(p)

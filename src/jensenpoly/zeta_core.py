@@ -460,25 +460,35 @@ def lambda_deriv_or_zero(n: int, prec: int) -> BigReal:
     return lambda_deriv(n, prec)
 
 
+def _odd_product(lo: int, hi: int) -> int:
+    """(2 lo + 1)(2 lo + 3)...(2 hi - 1), by balanced splitting."""
+    if hi - lo <= 16:
+        return math.prod(range(2 * lo + 1, 2 * hi, 2))
+    return _odd_product(lo, (lo + hi) // 2) * _odd_product((lo + hi) // 2, hi)
+
+
+def _gamma_denominator(n: int, prec: int) -> mpf:
+    """(2n)!/n! * 2^(2n-1) = (2n-1)!! * 2^(3n-1), rounded once to prec bits."""
+    return mp.make_mpf(from_man_exp(_odd_product(0, n), 3 * n - 1, prec, round_nearest))
+
+
 def gamma_exact(n: int, prec: int) -> BigReal:
     """Taylor coefficient gamma(n) from one quadrature of a positive integrand.
 
     gamma(n) = (n!/(2n)!) int_0^oo u^(2n-2) (W - u^2) e^(u/4) theta0(e^u) du
     / 2^(2n-1) with W = 32 C(2n,2), which merges the two F integrals of
-    (n!/(2n)!) (W F(2n-2) - F(2n)) / 2^(2n-1), so nothing cancels.  W and the
-    prefactor are exact integers.
+    (n!/(2n)!) (W F(2n-2) - F(2n)) / 2^(2n-1), so nothing cancels.  W is an
+    exact integer, and the denominator (2n-1)!! 2^(3n-1) is rounded once.
     """
     if not isinstance(n, int) or n < 1:
         raise DomainError(f"gamma_exact requires an integer n >= 1, got {n!r}")
     _require_prec(prec)
 
     weight = 32 * math.comb(2 * n, 2)  # exact integer
-    # (2n)!/n! * 2^(2n-1): exact integer denominator of the prefactor.
-    denom = (math.factorial(2 * n) // math.factorial(n)) << (2 * n - 1)
-    # 28 guard bits for the quadrature, 16 more for the exact division.
+    # 28 guard bits for the quadrature, 16 more for the division.
     integral = _F_raw(2 * n - 2, prec + 28, weight)
     with workprec(prec + 44):
-        value = integral / mpf(denom)
+        value = integral / _gamma_denominator(n, prec + 44)
     with workprec(prec):
         rounded = +value
     if rounded <= 0:

@@ -33,8 +33,8 @@ from jensenpoly.jensen import (
     renormalize,
     squarefree_part,
     sturm_count,
+    _hankel_minors,
     _leading_minors,
-    _scaled_power_sums,
 )
 from jensenpoly.sequences import load_sequence, partition, zeta_gamma_provider
 from jensenpoly.zeta_core import DomainError, PrecisionFailure
@@ -189,6 +189,27 @@ class TestIsHyperbolic:
             disc_ok = partition(n + 1) ** 2 >= partition(n) * partition(n + 2)
             assert (cert.verdict == "hyperbolic") == disc_ok, n
 
+    @pytest.mark.parametrize("d, n, real_roots", [
+        (8, 1268, 6), (8, 1269, 8), (12, 3000, 4), (12, 5000, 12)])
+    def test_high_degree_partition_matches_sturm(self, partition_seq, d, n, real_roots):
+        # Sturm's count on the squarefree part is independent of the minors.
+        jp = jensen_poly(partition_seq, d, n)
+        cert = certify(partition_seq, d, n)
+        assert cert.method == "hermite_hankel_exact"
+        q = squarefree_part(jp)
+        bound = cauchy_bound(q)
+        assert (q.degree, sturm_count(q, -bound, bound)) == (d, real_roots)
+        assert (cert.verdict == "hyperbolic") == (real_roots == d)
+
+
+def _from_roots(lead: int, roots: list) -> list:
+    """Ascending integer coefficients of lead * prod (X - r)."""
+    coeffs = [lead]
+    for r in roots:
+        coeffs = [(coeffs[i - 1] if i else 0) - r * (coeffs[i] if i < len(coeffs) else 0)
+                  for i in range(len(coeffs) + 1)]
+    return coeffs
+
 
 def _random_int_poly(rng: random.Random, d: int) -> list:
     """Ascending integer coefficients, |a_i| <= 10^30, a_d != 0.
@@ -198,15 +219,46 @@ def _random_int_poly(rng: random.Random, d: int) -> list:
     semidefinite, and its minors may be tiny beside the power sums.
     """
     if rng.random() < 0.5:
-        coeffs = [rng.choice([-1, 1]) * rng.randint(1, 10)]
+        lead = rng.choice([-1, 1]) * rng.randint(1, 10)
         base, width = rng.randint(-1000, 1000), rng.choice([2, 50, 1000])
-        for _ in range(d):
-            r = base + rng.randint(0, width)
-            coeffs = [(coeffs[i - 1] if i else 0) - r * (coeffs[i] if i < len(coeffs) else 0)
-                      for i in range(len(coeffs) + 1)]
-        return coeffs
+        return _from_roots(lead, [base + rng.randint(0, width) for _ in range(d)])
     coeffs = [rng.randint(-10**30, 10**30) for _ in range(d)]
     return coeffs + [rng.choice([-1, 1]) * rng.randint(1, 10**30)]
+
+
+def _newton_hankel_minors(a: list) -> list:
+    """Oracle: leading minors of (s_{i+j}) times a_d^(k(k-1)), in Fractions.
+
+    Newton's identities give the power sums s_k of the roots; each k x k
+    leading minor is a separate Gaussian elimination with row pivoting.
+    """
+    d = len(a) - 1
+    e = [Fraction(a[d - i], a[d]) for i in range(d + 1)]  # monic, descending
+    s = [Fraction(d)]
+    for k in range(1, 2 * d - 1):
+        acc = k * e[k] if k <= d else Fraction(0)
+        for i in range(1, min(k, d + 1)):
+            acc += e[i] * s[k - i]
+        s.append(-acc)
+    minors = []
+    for k in range(1, d + 1):
+        m = [[s[i + j] for j in range(k)] for i in range(k)]
+        det = Fraction(1)
+        for c in range(k):
+            r = next((r for r in range(c, k) if m[r][c] != 0), None)
+            if r is None:
+                det = Fraction(0)
+                break
+            if r != c:
+                m[c], m[r] = m[r], m[c]
+                det = -det
+            det *= m[c][c]
+            for r in range(c + 1, k):
+                f = m[r][c] / m[c][c]
+                for j in range(c, k):
+                    m[r][j] -= f * m[c][j]
+        minors.append(det * Fraction(a[d]) ** (k * (k - 1)))
+    return minors
 
 
 class TestLeadingMinors:
@@ -219,12 +271,10 @@ class TestLeadingMinors:
             for _ in range(150):
                 d = rng.randint(1, 8)
                 a = _random_int_poly(rng, d)
-                exact = _leading_minors(_scaled_power_sums(a, 2 * d - 1), d,
-                                        operator.floordiv)
+                exact = _hankel_minors(a, operator.floordiv)
                 for prec in (64, 128, 256):
                     iv.prec = prec
-                    t = _scaled_power_sums([iv.mpf(c) for c in a], 2 * d - 1)
-                    enclosed = _leading_minors(t, d, operator.truediv)
+                    enclosed = _hankel_minors([iv.mpf(c) for c in a], operator.truediv)
                     assert len(enclosed) <= len(exact), (a, prec)
                     stopped_early += len(enclosed) < len(exact)
                     # checked at the working precision: at 53 bits a large
@@ -236,10 +286,45 @@ class TestLeadingMinors:
         assert stopped_early > 0  # some cases stop on an undecided minor
 
     def test_stops_at_first_non_positive_minor(self):
-        # X^2 + 1: power sums 2, 0, -2; minors 2 and -4.
-        assert _leading_minors([2, 0, -2], 2, operator.floordiv) == [2, -4]
+        # X^2 + 1: reversed Bezoutian of p and p' is [[2, 0], [0, -2]].
+        assert _leading_minors([[2, 0], [0, -2]], operator.floordiv) == [2, -4]
         # First minor 0 ends the elimination at once.
-        assert _leading_minors([0, 1, 1], 2, operator.floordiv) == [0]
+        assert _leading_minors([[0, 1], [1, 1]], operator.floordiv) == [0]
+
+    @staticmethod
+    def _check_against_oracle(a: list) -> list:
+        minors = _hankel_minors(a, operator.floordiv)
+        oracle = _newton_hankel_minors(a)
+        assert minors == oracle[: len(minors)], a
+        assert all(m > 0 for m in minors[:-1]), a
+        assert len(minors) == len(oracle) or minors[-1] <= 0, a
+        return minors
+
+    def test_random_polynomials_match_newton_oracle(self):
+        rng = random.Random(19)
+        signs = set()
+        for _ in range(200):
+            d = rng.randint(1, 8)
+            lead = rng.choice([-1, 1]) * rng.randint(1, 10**6)
+            a = [rng.randint(-10**6, 10**6) for _ in range(d)] + [lead]
+            self._check_against_oracle(a)
+            signs.add(lead > 0)
+        assert signs == {True, False}
+
+    def test_repeated_roots_stop_on_zero_minor(self):
+        rng = random.Random(7)
+        for _ in range(40):
+            distinct = rng.sample(range(-30, 31), rng.randint(1, 4))
+            roots = distinct + rng.choices(distinct, k=rng.randint(1, 4))
+            lead = rng.choice([-1, 1]) * rng.randint(1, 50)
+            minors = self._check_against_oracle(_from_roots(lead, roots))
+            # rank of the Hankel form = number of distinct real roots
+            assert len(minors) == len(distinct) + 1 and minors[-1] == 0, roots
+
+    @pytest.mark.parametrize("d, n", [(2, 24), (8, 1268), (8, 2000)])
+    def test_partition_jensen_polynomials(self, partition_seq, d, n):
+        a = [int(c) for c in jensen_poly(partition_seq, d, n).coeffs]
+        self._check_against_oracle(a)
 
 
 class TestSturmTools:

@@ -252,6 +252,13 @@ class TestGammaExact:
         with pytest.raises(ValueError):
             gamma_exact(5, 32)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 5000, 20000])
+    def test_denominator_rounds_exact_integer(self, n):
+        exact = math.factorial(2 * n) // math.factorial(n) << (2 * n - 1)
+        for prec in (96, 556):
+            with workprec(prec):
+                assert zeta_core._gamma_denominator(n, prec)._mpf_ == mpf(exact)._mpf_
+
     def test_precision_ladder_stable(self):
         lo = gamma_exact(40, 128).value
         hi = gamma_exact(40, 256).value

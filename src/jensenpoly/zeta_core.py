@@ -22,8 +22,11 @@ linearity the two F integrals of gamma(n) merge into one, with W = 32 C(2n,2):
 whose integrand is positive wherever it carries mass, so nothing cancels.  One
 quadrature rule serves every exponent: a doubling-refinement trapezoid over a
 certified peak window, on u itself where 5 n >= prec and after a
-double-exponential change of variable s -> u(s) with scale c below that; two
-successive refinements must agree to 2^-(prec+5) relative.
+double-exponential change of variable s -> u(s) with scale c below that.  Its
+acceptance rule has two clauses: two successive refinements agree to
+2^-(prec+5) relative, or, once the agreement in bits at least doubles per
+level, the square-law error estimate d_j^2 / d_(j-1) of the last one is below
+that.
 
 Every node lies on one dyadic lattice k 2^-j, in u or in s, so neighbouring
 exponents share nodes.  The integrand splits into a per-value part
@@ -351,9 +354,19 @@ def _F_raw(n: Number, prec: int, w: int = 0) -> mpf:
     node: the nodes this value reuses move into its own table, and the rest
     go when it ends, or before the sum when the windows do not overlap.  A
     factor depends only on (wp, c, node), so each value's bits depend only on
-    its arguments.  Two successive refinements must agree to 2^-(prec+5)
-    relative within 14 doublings, and the result must be positive; any
-    exception leaves the memo empty.
+    its arguments.
+
+    Level j's sum S_j is accepted, within 14 doublings, when d_j =
+    |S_j - S_(j-1)| <= 2^-(prec+5) |S_j|, or when the square-law estimate of
+    its error, d_j^2 / d_(j-1) (Bailey, Jeyabalan & Li 2005), is below that:
+    on an analytic integrand the trapezoid error roughly squares as the step
+    halves (Trefethen & Weideman 2014), so this spares the last doubling and
+    half the nodes.  That clause reads b_j = log2 |S_j| / d_j to within one,
+    asks 2 b_j - b_(j-1) >= prec + 8 (3 bits for the rounding), and applies
+    only where b_j >= 2 b_(j-1) > 0, convergence plainly exponential: a stall
+    before the asymptotic regime must not pass as convergence.  The 28 + 16
+    guard bits of gamma_exact keep the estimate far inside 2^(16-prec).  The
+    result must be positive; any exception leaves the memo empty.
     """
     global _node_memo
     wp, rnd = prec + 40, round_nearest
@@ -385,19 +398,22 @@ def _F_raw(n: Number, prec: int, w: int = 0) -> mpf:
         total = mpf_add(total, f(from_man_exp(k, -j)), wp, rnd)
     estimate = mpf_shift(total, -j)
 
-    tol = -(prec + 5)
+    tol, agreed = -(prec + 5), 0
     for _doubling in range(_MAX_DOUBLINGS):
         j, k_lo, k_hi = j + 1, 2 * k_lo, 2 * k_hi
         for k in range(k_lo + 1, k_hi, 2):  # the new midpoints
             total = mpf_add(total, f(from_man_exp(k, -j)), wp, rnd)
         new_estimate = mpf_shift(total, -j)
         diff = mpf_abs(mpf_sub(new_estimate, estimate, wp, rnd))
-        if mpf_le(diff, mpf_shift(mpf_abs(new_estimate), tol)):
+        # b_j; a raw (sign, man, exp, bc) lies in [2^(exp+bc-1), 2^(exp+bc)).
+        bits = new_estimate[2] + new_estimate[3] - diff[2] - diff[3]
+        if mpf_le(diff, mpf_shift(mpf_abs(new_estimate), tol)) or (
+                bits >= 2 * agreed > 0 and 2 * bits - agreed >= prec + 8):
             if mpf_sign(new_estimate) <= 0:
                 raise PrecisionFailure(f"trapezoid sum for F({n}) is not positive")
             _node_memo = (wp, ce, lo, hi, table)
             return mp.make_mpf(new_estimate)
-        estimate = new_estimate
+        estimate, agreed = new_estimate, bits
     raise PrecisionFailure(
         f"trapezoid refinement did not stabilize for F({n}) at {prec} bits"
     )

@@ -166,6 +166,57 @@ class TestFIntegral:
             _F_raw(64, 64)
         assert zeta_core._node_memo is None
 
+    @staticmethod
+    def level_stub(monkeypatch, errors):
+        """Make the F(0) sum at level j read 1 + errors[j]; count node factors.
+
+        The stub window is x = 1..17 at level 0 (m = 0 takes the mapped rule,
+        and u^0 = 1), and the 16 2^(j-1) nodes new at level j >= 1 are the x
+        with exponent -j, so giving each of them (1 + 2 e_j - e_(j-1))/16
+        makes the sum exactly 1 + e_j; level 0 gets (1 + e_0)/16.
+        """
+        calls = []
+
+        def factor(x, wp, ce):
+            calls.append(None)
+            j = max(0, -x[2])
+            with workprec(wp):
+                e = [mpf(2) ** -b for b in errors]
+                value = (1 + 2 * e[j] - e[j - 1]) / 16 if j else (1 + e[0]) / 16
+            return x, value._mpf_
+
+        monkeypatch.setattr(zeta_core, "_node_memo", None)
+        monkeypatch.setattr(zeta_core, "_node_factor", factor)
+        monkeypatch.setattr(zeta_core, "_peak_window",
+                            lambda f, n, u_peak, ce, tail: (0, 1, 17))
+        return lambda: len(calls)
+
+    def test_algebraic_convergence_is_not_accepted_early(self, monkeypatch):
+        # Errors 2^-20, 2^-60, 2^-100, ... gain 40 bits a level, so the levels
+        # agree to about 21, 61, 101 and 141 bits.  At 128 bits (tolerance
+        # 2^-133) the square-law estimate of level 3, 2 * 101 - 61 = 141 bits,
+        # would pass, but 101 < 2 * 61 is not plainly exponential convergence:
+        # level 3 is not accepted, and level 4 is, by the two-refinement rule.
+        count = self.level_stub(monkeypatch, [20 + 40 * j for j in range(8)])
+        assert _F_raw(0, 128) == 1
+        assert count() == 17 + 16 * (2 ** 4 - 1)
+        monkeypatch.setattr(zeta_core, "_MAX_DOUBLINGS", 3)
+        with pytest.raises(PrecisionFailure, match="did not stabilize"):
+            _F_raw(0, 128)
+
+    def test_square_law_accepts_one_level_early(self, monkeypatch):
+        # Errors 2^-20, 2^-50, 2^-110, 2^-230, ... (b_j = 2 b_(j-1) + 10): the
+        # levels agree to about 21, 51 and 111 bits.  Level 3 misses the
+        # two-refinement tolerance 2^-133 by 22 bits, yet its square-law
+        # estimate, 2 * 111 - 51 = 171 bits, passes, so the sum stops there and
+        # never computes the 128 nodes of level 4.
+        errors = [20, 50, 110, 230, 470]
+        count = self.level_stub(monkeypatch, errors)
+        with workprec(168):
+            assert _F_raw(0, 128) == 1 + mpf(2) ** -errors[3]
+            assert mpf(2) ** -errors[2] - mpf(2) ** -errors[3] > mpf(2) ** -133
+        assert count() == 17 + 16 * (2 ** 3 - 1)
+
     @pytest.mark.parametrize("m", [0, 64])
     def test_result_must_be_positive(self, monkeypatch, m):
         # A negative bump, flat at both window ends, settles within a few
@@ -329,6 +380,22 @@ class TestGammaExact:
             assert gamma_exact(n, prec).value._mpf_ == alone
             if before_prec == prec:  # a neighbour's nodes are reused
                 assert count() - start < cost_alone / 2
+
+    @pytest.mark.parametrize("n", [12, 40])
+    def test_isolated_value_cost(self, monkeypatch, n):
+        # Counted theta0 evaluations with an empty memo, independent of the
+        # machine: before the square-law clause gamma(12) and gamma(40) at
+        # 512 bits took 993 and 1,025.
+        monkeypatch.setattr(zeta_core, "_node_memo", None)
+        count = theta0_counter(monkeypatch)
+        gamma_exact(n, 512)
+        assert count() < 700
+
+    @pytest.mark.parametrize("n, prec", [(12, 512), (1000, 512), (100, 312), (1000, 312)])
+    def test_contract_against_more_bits(self, n, prec):
+        # BigReal's contract, 64 bits up.  (12, 512), (100, 312) and
+        # (1000, 312) stop one level early under the square-law clause.
+        assert rel_close(gamma_exact(n, prec).value, gamma_exact(n, prec + 64).value, prec - 16)
 
     @pytest.mark.parametrize("ns", [range(7, 16), range(100, 112)])
     def test_neighbours_share_nodes(self, monkeypatch, ns):

@@ -11,13 +11,16 @@ Four groups of operations:
   f((1+lambda) a) / f(a) = exp(-C lambda^2 / 2)(1 + A_3 lambda^3 + ...),
   f(t) = (log t)^n t^(-3/4) e^(-pi t), derived *numerically* by power-series
   composition of the log-integrand (the printed closed forms are the test
-  oracle, not the implementation);
+  oracle, not the implementation); this one saddle expansion also checks
+  that its linear term vanishes and its quadratic term is -C/2 with
+  C = (1/L + 1/L^2) n - 3/4;
 * growth normalizations (A(n), delta(n)) for the zeta coefficient sequence
   (via n_hat = 2n - 2, L = L(n_hat), K = (1/L + 1/L^2) n_hat - 3/4) and for
   modular-form coefficient sequences (first-order in general, second-order
-  closed forms for the partition parameters m = 1/24, weight = -1/2), plus
-  the consistency functional C(n, j) = n^(3/2) (gamma(n+j) e^(d^2 j^2 - A j)
-  / gamma(n) - 1);
+  closed forms for the partition parameters m = 1/24, weight = -1/2), each
+  wrapped as :class:`AsymParams` by one builder over a memoised
+  (n, prec) -> (A, delta) function, plus the consistency functional
+  C(n, j) = n^(3/2) (gamma(n+j) e^(d^2 j^2 - A j) / gamma(n) - 1);
 * the modified Bessel function I_kappa(x), mpmath's ``besseli`` at explicit
   precision, a standalone tool: the growth normalizations above use closed
   forms instead.
@@ -48,14 +51,12 @@ from .zeta_core import (
 )
 
 __all__ = [
-    "SaddleData",
     "AsymParams",
     "solve_L",
     "b1_of",
     "F_hat",
     "gamma_hat",
     "saddle_coeffs",
-    "saddle_data",
     "zeta_A_delta",
     "C_of",
     "bessel_I",
@@ -191,13 +192,13 @@ def _series_exp(t: List[mpf], order: int) -> List[mpf]:
     return out
 
 
-def _saddle_series_raw(n: Number, i_max: int, prec: int) -> Tuple[List[mpf], mpf, mpf]:
-    """Return ([A_3..A_i_max], C, quadratic coefficient of the log-expansion).
+def _saddle_series_raw(n: Number, i_max: int, prec: int) -> List[mpf]:
+    """Return [A_3, ..., A_i_max].
 
     Expands  phi(lambda) = log f((1+lambda) a) - log f(a)
            = n log(1 + log(1+lambda)/L) - (3/4) log(1+lambda) - pi a lambda
     as a power series in lambda, checks that the linear term vanishes (the
-    saddle equation) and reads C off the quadratic term; the tail from
+    saddle equation) and that the quadratic term is -C/2; the tail from
     lambda^3 on is exponentiated to produce the A_i.
     """
     order = i_max
@@ -224,13 +225,17 @@ def _saddle_series_raw(n: Number, i_max: int, prec: int) -> Tuple[List[mpf], mpf
             )
         c_curv = (eps + eps * eps) * n_mp - mpf(3) / 4
         quad = phi[2]
+        with workprec(prec + 16):
+            if abs(quad + c_curv / 2) > abs(c_curv / 2) * mpf(2) ** (-prec + 8):
+                raise PrecisionFailure(
+                    f"quadratic saddle term {quad} != -C/2 = {-c_curv / 2} at n={n!r}"
+                )
 
         tail = [mpf(0)] * (order + 1)
         for k in range(3, order + 1):
             tail[k] = phi[k]
         expanded = _series_exp(tail, order)
-        coeffs = [+expanded[i] for i in range(3, i_max + 1)]
-        return coeffs, +c_curv, +quad
+        return [+expanded[i] for i in range(3, i_max + 1)]
 
 
 def saddle_coeffs(n: Number, i_max: int = 6, prec: int = 128) -> List[BigReal]:
@@ -240,52 +245,9 @@ def saddle_coeffs(n: Number, i_max: int = 6, prec: int = 128) -> List[BigReal]:
         raise DomainError(f"saddle_coeffs supports 3 <= i_max <= 6, got {i_max}")
     if mpf(n) < 2:
         raise DomainError(f"saddle_coeffs requires n >= 2, got {n!r}")
-    coeffs, c_curv, quad = _saddle_series_raw(n, i_max, prec)
-    with workprec(prec + 16):
-        if abs(quad + c_curv / 2) > abs(c_curv / 2) * mpf(2) ** (-prec + 8):
-            raise PrecisionFailure(
-                f"quadratic saddle term {quad} != -C/2 = {-c_curv / 2} at n={n!r}"
-            )
+    coeffs = _saddle_series_raw(n, i_max, prec)
     with workprec(prec):
         return [BigReal(+c, prec) for c in coeffs]
-
-
-@dataclass(frozen=True)
-class SaddleData:
-    """Per-n saddle bundle: L, a = e^L, eps = 1/L, C, A_3..A_6, b1."""
-
-    n: Number
-    L: BigReal
-    a: BigReal
-    eps: BigReal
-    C: BigReal
-    A: Tuple[BigReal, ...]
-    b1: BigReal
-
-    @property
-    def prec_bits(self) -> int:
-        return self.L.prec_bits
-
-
-def saddle_data(n: Number, prec: int = 128) -> SaddleData:
-    """Assemble the full :class:`SaddleData` bundle at precision ``prec``."""
-    _require_prec(prec)
-    coeffs, c_curv, _quad = _saddle_series_raw(n, 6, prec)
-    with workprec(prec + 16):
-        L = _solve_L_raw(n, prec + 16)
-        a = mpmath.exp(L)
-        eps = 1 / L
-        b1 = _b1_raw(L)
-    with workprec(prec):
-        return SaddleData(
-            n=n,
-            L=BigReal(+L, prec),
-            a=BigReal(+a, prec),
-            eps=BigReal(+eps, prec),
-            C=BigReal(+c_curv, prec),
-            A=tuple(BigReal(+c, prec) for c in coeffs),
-            b1=BigReal(+b1, prec),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -399,21 +361,13 @@ _PARTITION_WEIGHT = Fraction(-1, 2)
 
 
 def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    # Floats are accepted but go through str() so that 1/24 entered as a
-    # decimal literal still means the rational the caller wrote down.
-    return Fraction(str(value))
+    # Floats and mpf go through str() so that 1/24 entered as a decimal
+    # literal still means the rational the caller wrote down.
+    return Fraction(value if isinstance(value, (Fraction, int, str)) else str(value))
 
 
 @functools.lru_cache(maxsize=64)
-def _modular_A_delta_raw(
-    n: int, m: Fraction, weight: Fraction, order: int, prec: int
-) -> Tuple[mpf, mpf]:
+def _modular_A_delta_raw(n: int, m: Fraction, order: int, prec: int) -> Tuple[mpf, mpf]:
     with workprec(prec + 24):
         if order == 1:
             m_mp = mpf(m.numerator) / m.denominator
@@ -449,13 +403,18 @@ class AsymParams:
     n_min: int
 
 
+def _growth_params(A_delta: Callable[[int, int], Tuple[mpf, mpf]], n_min: int) -> AsymParams:
+    """AsymParams reading A(n) and delta(n) off one memoised (n, prec) -> (A, delta)."""
+    return AsymParams(
+        A_of_n=lambda n, prec: A_delta(n, prec)[0],
+        delta_of_n=lambda n, prec: A_delta(n, prec)[1],
+        n_min=n_min,
+    )
+
+
 def zeta_params() -> AsymParams:
     """Growth parameters for the zeta Taylor-coefficient sequence (n >= 7)."""
-    return AsymParams(
-        A_of_n=lambda n, prec: _zeta_A_delta_raw(n, prec)[0],
-        delta_of_n=lambda n, prec: _zeta_A_delta_raw(n, prec)[1],
-        n_min=7,
-    )
+    return _growth_params(_zeta_A_delta_raw, 7)
 
 
 def partition_params(order: int = 2) -> AsymParams:
@@ -467,9 +426,10 @@ def modular_params(m, weight, order: int = 1) -> AsymParams:
     """Growth parameters (A(n), delta(n)) for a weakly holomorphic form's coefficients.
 
     ``order=1`` uses the universal leading terms A = 2 pi sqrt(m/n),
-    delta = sqrt(pi/2) m^(1/4) n^(-3/4) (n >= 1); ``order=2`` uses the sharper
-    closed forms valid for the partition generating function (m = 1/24,
-    weight = -1/2):  A = 2 pi / sqrt(24n-1) - 24/(24n-1),
+    delta = sqrt(pi/2) m^(1/4) n^(-3/4) (n >= 1), which ``weight`` does not
+    enter; ``order=2`` uses the sharper closed forms valid for the partition
+    generating function (m = 1/24, weight = -1/2):
+    A = 2 pi / sqrt(24n-1) - 24/(24n-1),
     delta = sqrt(12 pi (24n-1)^(-3/2) - 288 (24n-1)^(-2)) (n >= 3).
     """
     if order not in (1, 2):
@@ -483,8 +443,5 @@ def modular_params(m, weight, order: int = 1) -> AsymParams:
             "second-order growth closed forms are available only for the "
             "partition parameters m=1/24, weight=-1/2"
         )
-    return AsymParams(
-        A_of_n=lambda n, prec: _modular_A_delta_raw(n, m_frac, w_frac, order, prec)[0],
-        delta_of_n=lambda n, prec: _modular_A_delta_raw(n, m_frac, w_frac, order, prec)[1],
-        n_min=3 if order == 2 else 1,
-    )
+    return _growth_params(lambda n, prec: _modular_A_delta_raw(n, m_frac, order, prec),
+                          3 if order == 2 else 1)

@@ -40,6 +40,7 @@ from .jensen import (
     D4_MIN_N,
     DEFAULT_LADDER,
     Poly,
+    RationalPoly,
     certify,
     effective_check_d4,
     find_N,
@@ -109,6 +110,16 @@ def _renormalized_strs(poly: Poly) -> List[str]:
     """Renormalized coefficients, highest power first: 4 decimals, 3 from degree 6."""
     places = 3 if poly.degree >= 6 else 4
     return [_fixed_trunc(c, places) for c in reversed(poly.coeffs)]
+
+
+def _gamma_compare(zeta, n: int, prec: int) -> Dict[str, str]:
+    """gamma(n), gamma_hat(n) and their ratio, truncated to 11 digits and 9 decimals."""
+    g = zeta.value_at(n, prec).value
+    gh = gamma_hat(n, prec).value
+    with workprec(prec):
+        ratio = g / gh
+    return {"gamma": _sci_trunc(g, 11), "gamma_hat": _sci_trunc(gh, 11),
+            "ratio": _fixed_trunc(ratio, 9)}
 
 
 def _poly_str(coeffs_desc: Sequence[str], degree: int) -> str:
@@ -204,15 +215,12 @@ def _cmd_gamma(args: argparse.Namespace, parser: _Parser) -> int:
     rows: List[Dict[str, str]] = []
     for n in sorted(set(args.n)):
         row: Dict[str, str] = {"n": str(n)}
-        if mode in ("exact", "compare"):
-            g = provider.value_at(n, args.prec).value
-            row["gamma"] = _sci_trunc(g, 11)
-        if mode in ("asymptotic", "compare"):
-            gh = gamma_hat(n, args.prec).value
-            row["gamma_hat"] = _sci_trunc(gh, 11)
         if mode == "compare":
-            with workprec(args.prec):
-                row["ratio"] = _fixed_trunc(g / gh, 9)
+            row.update(_gamma_compare(provider, n, args.prec))
+        elif mode == "exact":
+            row["gamma"] = _sci_trunc(provider.value_at(n, args.prec).value, 11)
+        else:
+            row["gamma_hat"] = _sci_trunc(gamma_hat(n, args.prec).value, 11)
         rows.append(row)
     columns = {
         "exact": ["n", "gamma"],
@@ -241,7 +249,7 @@ def _cmd_jensen(args: argparse.Namespace, parser: _Parser) -> int:
         kindrow = "renormalized"
     else:
         poly = jensen_poly(seq, d, n, prec=args.prec)
-        if hasattr(poly.coeffs[0], "denominator"):  # exact path
+        if isinstance(poly, RationalPoly):
             coeff_strs = [str(c.numerator) if c.denominator == 1 else str(c)
                           for c in reversed(poly.coeffs)]
         else:
@@ -374,13 +382,10 @@ def _cmd_tables(args: argparse.Namespace, parser: _Parser) -> int:
 
     if "gamma" in groups:
         for n in (10, 100, 1000):
-            g = zeta.value_at(n, args.prec).value
-            gh = gamma_hat(n, args.prec).value
-            with workprec(args.prec):
-                ratio = g / gh
             rows.append({
                 "group": "gamma", "n": str(n), "d": "", "entry": "",
-                "value": f"{_sci_trunc(gh, 11)} | {_sci_trunc(g, 11)} | {_fixed_trunc(ratio, 9)}",
+                "value": "{gamma_hat} | {gamma} | {ratio}".format(
+                    **_gamma_compare(zeta, n, args.prec)),
             })
 
     shifts = [100, 200, 300, 400]

@@ -250,7 +250,7 @@ def renormalize(seq: SequenceProvider, d: int, n: int, prec: int = 192) -> Poly:
     if d < 1:
         raise DomainError(f"renormalize requires degree d >= 1, got {d}")
 
-    wp = _renormalized_read_prec(params, d, n, prec)
+    wp = read_prec(seq, d, n, prec)
     with workprec(wp):
         a_val = params.A_of_n(n, wp)
         delta = params.delta_of_n(n, wp)
@@ -293,7 +293,6 @@ class HyperbolicityCertificate:
     verdict: str  # hyperbolic | not_hyperbolic | indeterminate
     method: str   # hermite_hankel_exact | hermite_hankel_interval | sturm
     margin: BigReal
-    degree: int
 
     _VERDICTS = ("hyperbolic", "not_hyperbolic", "indeterminate")
     _METHODS = ("hermite_hankel_exact", "hermite_hankel_interval", "sturm")
@@ -465,36 +464,33 @@ def sturm_count(p: RationalPoly, lo, hi) -> int:
 def _exact_certificate(rp: RationalPoly) -> HyperbolicityCertificate:
     d = rp.degree
     if d == 0:
-        return HyperbolicityCertificate("hyperbolic", "hermite_hankel_exact",
-                                        _margin_big(1), 0)
+        return HyperbolicityCertificate("hyperbolic", "hermite_hankel_exact", _margin_big(1))
     minors = _hankel_minors(_int_coeffs(rp), operator.floordiv)
     last = minors[-1]
     if last > 0:  # the elimination stops at the first non-positive minor
         return HyperbolicityCertificate(
-            "hyperbolic", "hermite_hankel_exact", _margin_big(min(minors)), d
+            "hyperbolic", "hermite_hankel_exact", _margin_big(min(minors))
         )
     if last < 0:
         return HyperbolicityCertificate(
-            "not_hyperbolic", "hermite_hankel_exact", _margin_big(last), d
+            "not_hyperbolic", "hermite_hankel_exact", _margin_big(last)
         )
     # A zero minor: decide on the squarefree part via an exact Sturm count.
     q = squarefree_part(rp)
     if q.degree == d:
         # squarefree and Hankel not positive definite => a non-real root
         return HyperbolicityCertificate(
-            "not_hyperbolic", "hermite_hankel_exact", _margin_big(0), d
+            "not_hyperbolic", "hermite_hankel_exact", _margin_big(0)
         )
     bound = cauchy_bound(q)
     real_roots = sturm_count(q, -bound, bound)
     verdict = "hyperbolic" if real_roots == q.degree else "not_hyperbolic"
-    return HyperbolicityCertificate(verdict, "sturm", _margin_big(0), d)
+    return HyperbolicityCertificate(verdict, "sturm", _margin_big(0))
 
 
 def _interval_certificate(p: Poly) -> HyperbolicityCertificate:
-    d = p.degree
-    if d == 0:
-        return HyperbolicityCertificate("hyperbolic", "hermite_hankel_interval",
-                                        _margin_big(1), 0)
+    if p.degree == 0:
+        return HyperbolicityCertificate("hyperbolic", "hermite_hankel_interval", _margin_big(1))
     iv = mpmath.iv
     saved = iv.prec
     try:
@@ -508,9 +504,7 @@ def _interval_certificate(p: Poly) -> HyperbolicityCertificate:
             verdict, margin = "not_hyperbolic", mpf(last.b)
         else:
             verdict, margin = "indeterminate", 0
-        return HyperbolicityCertificate(
-            verdict, "hermite_hankel_interval", _margin_big(margin), d
-        )
+        return HyperbolicityCertificate(verdict, "hermite_hankel_interval", _margin_big(margin))
     finally:
         iv.prec = saved
 
@@ -673,9 +667,8 @@ def convergence_report(
     for n in n_list:
         poly = renormalize(seq, d, n, prec)
         with workprec(prec):
-            cs = list(poly.coeffs) + [mpf(0)] * (d + 1 - len(poly.coeffs))
-            dist = max(abs(cs[i] - h[i]) for i in range(d + 1))
-        rows.append(ConvergenceRow(n=n, coeffs=tuple(cs), sup_distance=dist))
+            dist = max(abs(c - t) for c, t in zip(poly.coeffs, h))
+        rows.append(ConvergenceRow(n=n, coeffs=poly.coeffs, sup_distance=dist))
     return rows
 
 

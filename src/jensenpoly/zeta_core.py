@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional, Tuple, Union
 
 import mpmath
@@ -351,10 +352,11 @@ def _F_raw(n: Number, prec: int, w: int = 0) -> mpf:
     one map.  The integrand is the per-value part u^n (w - u^2) times the
     shared factor of :func:`_node_factor`, which ``_node_memo`` keeps for the
     previous F value only, keyed by the working precision, c and the exact
-    node: the nodes this value reuses move into its own table, and the rest
-    go when it ends, or before the sum when the windows do not overlap.  A
-    factor depends only on (wp, c, node), so each value's bits depend only on
-    its arguments.
+    node: the nodes this value reuses move into its own table, and once it is
+    accepted the rest follow, up to ``_MEMO_NODES`` in all, so a level one
+    value stopped short of stays for the next; all go before the sum when
+    the windows do not overlap.  A factor depends only on (wp, c, node), so
+    each value's bits depend only on its arguments.
 
     Level j's sum S_j is accepted, within 14 doublings, when d_j =
     |S_j - S_(j-1)| <= 2^-(prec+5) |S_j|, or when the square-law estimate of
@@ -411,6 +413,7 @@ def _F_raw(n: Number, prec: int, w: int = 0) -> mpf:
                 bits >= 2 * agreed > 0 and 2 * bits - agreed >= prec + 8):
             if mpf_sign(new_estimate) <= 0:
                 raise PrecisionFailure(f"trapezoid sum for F({n}) is not positive")
+            table.update(islice(previous.items(), _MEMO_NODES - len(table)))
             _node_memo = (wp, ce, lo, hi, table)
             return mp.make_mpf(new_estimate)
         estimate, agreed = new_estimate, bits

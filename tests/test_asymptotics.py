@@ -1,5 +1,7 @@
 """Saddle solver, two-term growth model, growth normalizations, Bessel I."""
 
+from fractions import Fraction
+
 import mpmath
 import pytest
 from mpmath import mpf, workprec
@@ -14,7 +16,6 @@ from jensenpoly.asymptotics import (
     modular_params,
     partition_params,
     saddle_coeffs,
-    saddle_data,
     solve_L,
     zeta_A_delta,
     zeta_params,
@@ -106,15 +107,6 @@ class TestSaddleCoeffs:
         hi = [c.value for c in saddle_coeffs(30, 6, 256)]
         for a, b in zip(lo, hi):
             assert rel_close(a, b, 118)
-
-    def test_bundle_fields(self):
-        data = saddle_data(25, 128)
-        with workprec(160):
-            assert rel_close(data.a.value, mpmath.exp(data.L.value), 120)
-            assert rel_close(data.eps.value, 1 / data.L.value, 120)
-            # curvature C = (eps + eps^2) n - 3/4
-            eps = data.eps.value
-            assert rel_close(data.C.value, (eps + eps * eps) * 25 - mpf(3) / 4, 118)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -219,11 +211,34 @@ class TestModularGrowth:
             (-1, 0, 1),            # m <= 0: A(n) would be complex
             (0, "-1/2", 1),
             ("1/12", "-1/2", 2),   # order 2 exists only for the partition case
+            ("1/24", 0, 2),
+            ("1/24", "1/2", 2),
+            (1, "-1/2", 2),
+            (1 / 24, "-1/2", 2),   # a float reads as its decimal 0.041666666666666664
         ],
     )
     def test_modular_params_rejected_at_construction(self, m, weight, order):
         with pytest.raises(DomainError):
             modular_params(m, weight, order=order)
+
+    @pytest.mark.parametrize("decimal, exact", [(0.1, "1/10"), (0.5, Fraction(1, 2))])
+    def test_float_m_means_its_decimal(self, decimal, exact):
+        # A float goes through str(): 0.1 is 1/10, not the binary double.
+        floats, exacts = modular_params(decimal, 0), modular_params(exact, 0)
+        for n in (1, 50):
+            assert floats.A_of_n(n, 128)._mpf_ == exacts.A_of_n(n, 128)._mpf_
+            assert floats.delta_of_n(n, 128)._mpf_ == exacts.delta_of_n(n, 128)._mpf_
+
+    def test_first_order_ignores_weight(self):
+        params = [modular_params("1/12", w) for w in ("-1/2", 0, 12, 2.5)]
+        for n in (1, 40):
+            assert len({p.A_of_n(n, 128)._mpf_ for p in params}) == 1
+            assert len({p.delta_of_n(n, 128)._mpf_ for p in params}) == 1
+
+    @pytest.mark.parametrize("m, weight", [(Fraction(1, 24), -0.5), ("1/24", Fraction(-1, 2))])
+    def test_second_order_reads_partition_parameters_in_any_form(self, m, weight):
+        params = modular_params(m, weight, order=2)
+        assert params.A_of_n(80, 160) == partition_params(order=2).A_of_n(80, 160)
 
     def test_growth_pair_solved_once_per_n_prec(self):
         from jensenpoly.asymptotics import _zeta_A_delta_raw
